@@ -9,14 +9,17 @@ smoothed first derivative, i.e. the start of the plateau.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import _cut_groups, feature_distances, ward_linkage
-from .data import standardize_apply, standardize_fit, validate_matrix
+from .data import (
+    standardize_apply,
+    standardize_fit,
+    thread_map,
+    validate_matrix,
+)
 from .horn import HornParams, horn_components
 
 
@@ -121,8 +124,9 @@ def cf_curve(
 
     One Ward linkage is computed and cut at every grid value; the feature
     count at each cut is the sum of per-cluster component counts. Cuts are
-    nested, so component counts are cached per dendrogram node and each
-    distinct cluster is analyzed once.
+    nested, so clusters recur across grid values: the component count is
+    computed once per distinct dendrogram node, in first-seen order, and
+    summed per cut.
     """
     X = validate_matrix(X)
     if horn_params is None:
@@ -143,28 +147,18 @@ def cf_curve(
         return CfCurve.from_points(grid, np.ones_like(grid), smoothing_window)
     linkage = ward_linkage(feature_distances(Xs), m)
 
-    workers = n_threads or os.cpu_count() or 1
-    cache: dict[int, int] = {}
-
-    def count_for(node_and_cols):
-        _, cols = node_and_cols
-        return horn_components(Xs[:, cols], horn_params)
-
-    counts = np.empty(grid.size, dtype=np.int64)
-    for gi, k in enumerate(grid):
-        node_ids, groups = _cut_groups(linkage, int(k))
-        missing = [
-            (node, cols)
-            for node, cols in zip(node_ids, groups)
-            if node not in cache
-        ]
-        if missing:
-            if workers > 1 and len(missing) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(count_for, missing))
-            else:
-                results = [count_for(item) for item in missing]
-            for (node, _), h in zip(missing, results):
-                cache[node] = h
-        counts[gi] = sum(cache[node] for node in node_ids)
+    cuts = [_cut_groups(linkage, int(k)) for k in grid]
+    cols_of_node = {}
+    for node_ids, groups in cuts:
+        for node, cols in zip(node_ids, groups):
+            cols_of_node.setdefault(node, cols)
+    horn_counts = thread_map(
+        lambda cols: horn_components(Xs[:, cols], horn_params),
+        cols_of_node.values(),
+        n_threads,
+    )
+    count_of_node = dict(zip(cols_of_node, horn_counts))
+    counts = [
+        sum(count_of_node[node] for node in node_ids) for node_ids, _ in cuts
+    ]
     return CfCurve.from_points(grid, counts, smoothing_window)

@@ -263,11 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a model from a CSV matrix")
     _add_input(p)
-    p.add_argument("--clusters", type=int, default=None,
-                   help="cluster count; omit (or use --auto) to select "
-                        "automatically from the cluster-feature curve")
-    p.add_argument("--auto", action="store_true",
-                   help="select the cluster count automatically")
+    count = p.add_mutually_exclusive_group()
+    count.add_argument("--clusters", type=int, default=None,
+                       help="cluster count; omit (or use --auto) to select "
+                            "automatically from the cluster-feature curve")
+    count.add_argument("--auto", action="store_true",
+                       help="select the cluster count automatically")
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
         parser.error("eval requires --input or --idx-images/--idx-labels")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

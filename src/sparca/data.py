@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import gzip
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,20 @@ def validate_matrix(X, name="X"):
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return X
+
+
+def thread_map(fn, items, n_threads=None):
+    """``[fn(item) for item in items]`` on up to ``n_threads`` worker threads.
+
+    ``n_threads`` defaults to the core count. With one worker or one item,
+    everything runs on the calling thread.
+    """
+    items = list(items)
+    workers = n_threads or os.cpu_count() or 1
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def standardize_fit(X) -> Scaler:

@@ -42,9 +42,16 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
 
     Each pair gets its own counter-based stream: sort keys are SplitMix64
     hashes of (seed, trial, column, row), so results do not depend on
-    evaluation order or thread scheduling.
+    evaluation order or thread scheduling. Trial, column and row are packed
+    into 20, 22 and 22 bits; larger values would give two streams the same
+    keys, so they are rejected.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
+    if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
+        raise ValueError(
+            "permutation streams need fewer than 2**22 rows, 2**22 columns "
+            "and 2**20 trials"
+        )
     c = np.arange(n_cols, dtype=np.uint64).reshape(1, -1, 1)
     i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
     packed = (t << np.uint64(44)) | (c << np.uint64(22)) | i

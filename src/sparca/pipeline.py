@@ -9,8 +9,6 @@ projection matrix applied at transform time.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +17,14 @@ from scipy import sparse
 from ._version import __version__
 from .cluster import ClusterAssignment, cut_to_k, feature_distances, ward_linkage
 from .compress import pca_fit
-from .data import Scaler, standardize_apply, standardize_fit, validate_matrix
+from .data import (
+    VARIANCE_EPS,
+    Scaler,
+    standardize_apply,
+    standardize_fit,
+    thread_map,
+    validate_matrix,
+)
 from .horn import HornParams, horn_components
 from .omp import SparseComponent, omp_fit
 
@@ -147,22 +152,14 @@ def fit(
         linkage = ward_linkage(feature_distances(Xs), m_kept)
         assignment = cut_to_k(linkage, n_clusters)
 
-    jobs = []
-    for cid in range(n_clusters):
+    def run(cid):
         cols = assignment.members(cid)
-        jobs.append((Xs[:, cols], scaler.kept_features[cols], cid))
+        return _fit_cluster(
+            Xs[:, cols], scaler.kept_features[cols], cid, variance_threshold,
+            horn_params,
+        )
 
-    def run(job):
-        block, orig, cid = job
-        return _fit_cluster(block, orig, cid, variance_threshold, horn_params)
-
-    workers = n_threads or os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cluster = list(pool.map(run, jobs))
-    else:
-        per_cluster = [run(job) for job in jobs]
-
+    per_cluster = thread_map(run, range(n_clusters), n_threads)
     components = tuple(comp for comps in per_cluster for comp in comps)
     projection = _assemble_projection(
         components, scaler.kept_features, len(components)
@@ -230,11 +227,52 @@ def save_model(model: SparcaModel, path):
         fh.write("\n")
 
 
+def _check_model(scaler, labels, n_clusters, components):
+    """Raise ``ValueError`` unless the parsed parts fit together as a model."""
+    means, stds, kept = scaler.means, scaler.stds, scaler.kept_features
+    if means.ndim != 1 or stds.shape != means.shape:
+        raise ValueError(
+            f"scaler has {means.size} means but {stds.size} stds"
+        )
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise ValueError("scaler means and stds must be finite")
+    if (
+        kept.ndim != 1
+        or kept.size == 0
+        or (np.diff(kept) <= 0).any()
+        or kept[0] < 0
+        or kept[-1] >= means.size
+    ):
+        raise ValueError(
+            f"kept_features must be strictly increasing indices in "
+            f"[0, {means.size})"
+        )
+    if (stds[kept] < VARIANCE_EPS).any():
+        raise ValueError(
+            f"kept features need a std of at least {VARIANCE_EPS:g}"
+        )
+    if labels.shape != kept.shape:
+        raise ValueError(
+            f"assignment has {labels.size} labels for {kept.size} kept features"
+        )
+    if labels.min() < 0 or labels.max() >= n_clusters:
+        raise ValueError(f"assignment labels must lie in [0, {n_clusters})")
+    cluster_of = dict(zip(kept.tolist(), labels.tolist()))
+    for comp in components:
+        for feature, _ in comp.entries:
+            if cluster_of.get(feature) != comp.cluster:
+                raise ValueError(
+                    f"component {comp.source} uses feature {feature}, "
+                    f"which is not a kept feature of its cluster"
+                )
+
+
 def load_model(path) -> SparcaModel:
     """Load a model written by :func:`save_model`.
 
-    Raises ``ValueError`` on unknown format versions or malformed files;
-    never returns a partial model.
+    Raises ``ValueError`` on unknown format versions, malformed files and
+    parts that do not fit together (scaler lengths, kept features, std,
+    assignment, component supports); never returns a partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -262,9 +300,7 @@ def load_model(path) -> SparcaModel:
             seed=int(doc["horn"]["seed"]),
         )
         labels = np.asarray(doc["assignment"], dtype=np.int64)
-        assignment = ClusterAssignment(
-            labels=labels, n_clusters=int(doc["n_clusters"])
-        )
+        n_clusters = int(doc["n_clusters"])
         components = tuple(
             SparseComponent(
                 entries=tuple((int(i), float(w)) for i, w in c["entries"]),
@@ -279,15 +315,19 @@ def load_model(path) -> SparcaModel:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
+    try:
+        _check_model(scaler, labels, n_clusters, components)
+    except ValueError as exc:
+        raise ValueError(f"{path}: inconsistent model file ({exc})") from exc
     projection = _assemble_projection(
         components, scaler.kept_features, len(components)
     )
     return SparcaModel(
         scaler=scaler,
-        n_clusters=int(doc["n_clusters"]),
+        n_clusters=n_clusters,
         variance_threshold=variance_threshold,
         horn_params=horn_params,
-        assignment=assignment,
+        assignment=ClusterAssignment(labels=labels, n_clusters=n_clusters),
         components=components,
         projection=projection,
     )

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import sparca.cfcurve
 from sparca.cfcurve import CfCurve, cf_curve, default_grid, select_clusters
+from sparca.cluster import _cut_groups, feature_distances, ward_linkage
+from sparca.data import standardize_apply, standardize_fit
 from sparca.horn import HornParams
 
 from conftest import block_factor_data
@@ -113,6 +116,25 @@ class TestCfCurve:
         a = cf_curve(block_data, grid=grid, n_threads=1)
         b = cf_curve(block_data, grid=grid, n_threads=4)
         assert np.array_equal(a.n_features, b.n_features)
+
+    def test_horn_runs_once_per_distinct_node(self, block_data, monkeypatch):
+        grid = [2, 4, 8, 12, 20, 40]
+        Xs = standardize_apply(standardize_fit(block_data), block_data)
+        linkage = ward_linkage(feature_distances(Xs), Xs.shape[1])
+        nodes = {
+            node for k in grid for node in _cut_groups(linkage, k)[0]
+        }
+        calls = 0
+        horn = sparca.cfcurve.horn_components
+
+        def counting_horn(x, params):
+            nonlocal calls
+            calls += 1
+            return horn(x, params)
+
+        monkeypatch.setattr(sparca.cfcurve, "horn_components", counting_horn)
+        cf_curve(block_data, grid=grid, n_threads=1)
+        assert calls == len(nodes)
 
 
 class TestDefaultGrid:

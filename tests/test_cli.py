@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sparca.evalkit
 from sparca.cli import main
 from sparca.data import load_csv, write_csv
 from sparca.pipeline import load_model
@@ -52,6 +53,14 @@ class TestFit:
         # the automatic choice lands on the plateau of the curve, where the
         # reduced feature count equals the true factor count
         assert model.n_reduced == 8
+
+    def test_auto_excludes_clusters(self, block_csv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fit", "--input", str(block_csv), "--auto", "--clusters", "5",
+                "--out", str(tmp_path / "m.json"),
+            ])
+        assert excinfo.value.code == 2
 
     def test_missing_input(self, tmp_path, capsys):
         code = main([
@@ -162,6 +171,20 @@ class TestEvalCommand:
         # sigma = 0 row reproduces the clean test accuracies exactly
         assert float(first[1]) == clean["sparca"]
         assert float(first[2]) == clean["pca"]
+
+    def test_classifier_failure_is_reported(
+        self, labeled_csv, tmp_path, capsys, monkeypatch
+    ):
+        def failing_fit(*args, **kwargs):
+            raise RuntimeError("line search failed to make progress")
+
+        monkeypatch.setattr(sparca.evalkit, "l1_logreg_fit", failing_fit)
+        code = main([
+            "eval", "--input", str(labeled_csv), "--clusters", "4",
+            "--cv-folds", "2", "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        assert "error: line search" in capsys.readouterr().err
 
     def test_requires_input(self, tmp_path):
         with pytest.raises(SystemExit):

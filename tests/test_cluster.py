@@ -17,6 +17,36 @@ def _standardized(rng, n, m):
     return standardize_apply(standardize_fit(X), X)
 
 
+# The 16 vertices of the unit 4-cube, one per column.
+_HYPERCUBE = np.array(
+    [[(v >> bit) & 1 for v in range(16)] for bit in range(4)], dtype=np.float64
+)
+
+
+def _assert_greedy_ward(X, linkage):
+    """Each merge joins a pair of current clusters with the least SSE increase,
+    at height ``sqrt(2 * delta)``, with ``left < right``, the merged size and
+    non-decreasing heights."""
+    m = X.shape[1]
+    clusters = {j: frozenset([j]) for j in range(m)}
+    for i, (left, right, dist, size) in enumerate(linkage.merges):
+        assert left < right
+        merged = clusters[left] | clusters[right]
+        assert size == len(merged)
+        delta = ward_delta_sse(X, clusters[left], clusters[right])
+        best = min(
+            ward_delta_sse(X, clusters[a], clusters[b])
+            for a in clusters
+            for b in clusters
+            if a < b
+        )
+        assert np.isclose(delta, best, atol=1e-10)
+        assert np.isclose(dist, np.sqrt(2.0 * delta), atol=1e-10)
+        del clusters[left], clusters[right]
+        clusters[m + i] = merged
+    assert (np.diff(linkage.distance) >= 0).all()
+
+
 class TestFeatureDistances:
     def test_identical_columns_zero(self):
         X = np.tile(np.arange(5.0)[:, None], (1, 2))
@@ -79,22 +109,15 @@ class TestWardLinkage:
     def test_each_merge_minimizes_sse_increase(self):
         rng = np.random.default_rng(3)
         X = _standardized(rng, 20, 6)
-        m = X.shape[1]
-        linkage = ward_linkage(feature_distances(X), m)
-        clusters = {j: frozenset([j]) for j in range(m)}
-        for i, (left, right, dist, _) in enumerate(linkage.merges):
-            merged = clusters[left] | clusters[right]
-            delta = ward_delta_sse(X, clusters[left], clusters[right])
-            best = min(
-                ward_delta_sse(X, clusters[a], clusters[b])
-                for a in clusters
-                for b in clusters
-                if a < b
-            )
-            assert np.isclose(delta, best, atol=1e-10)
-            assert np.isclose(dist, np.sqrt(2.0 * delta), atol=1e-10)
-            del clusters[left], clusters[right]
-            clusters[m + i] = merged
+        _assert_greedy_ward(X, ward_linkage(feature_distances(X), 6))
+
+    @pytest.mark.parametrize(
+        "X", [np.eye(12), _HYPERCUBE], ids=["eye12", "4cube"]
+    )
+    def test_exact_ties_keep_the_ward_contract(self, X):
+        # Many pairs tie exactly (every pair for eye(12)), so two valid Ward
+        # implementations may merge different pairs and cut differently.
+        _assert_greedy_ward(X, ward_linkage(feature_distances(X), X.shape[1]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_greedy_ward(self, seed):

@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparca.horn import HornParams, horn_components, _sorted_eigvals
+from sparca.horn import (
+    HornParams,
+    _permutations,
+    _sorted_eigvals,
+    horn_components,
+)
 
 from conftest import block_factor_data, rank1_snr_block
 
@@ -87,6 +94,22 @@ class TestHornComponents:
             HornParams(percentile=0.0)
         with pytest.raises(ValueError):
             HornParams(percentile=101.0)
+
+    @pytest.mark.parametrize(
+        "trials, n_cols, n_rows",
+        [([0], 2, 2**22), ([0], 2**22, 2), ([2**20], 2, 2)],
+        ids=["rows", "columns", "trials"],
+    )
+    def test_stream_aliasing_rejected(self, trials, n_cols, n_rows):
+        # Raised before the (trials, n_cols, n_rows) key array is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\*\\*22"):
+                _permutations(0, trials, n_cols, n_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):

@@ -153,6 +153,22 @@ class TestTransform:
             transform(model, X[:, :-1])
 
 
+def _feature_not_kept(doc):
+    doc["components"][0]["entries"][0][0] = len(doc["scaler"]["means"])
+
+
+def _short_stds(doc):
+    doc["scaler"]["stds"].pop()
+
+
+def _zero_std(doc):
+    doc["scaler"]["stds"][doc["scaler"]["kept_features"][0]] = 0.0
+
+
+def _short_assignment(doc):
+    doc["assignment"].pop()
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -188,6 +204,27 @@ class TestSerialization:
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(ValueError, match="not a valid model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (_feature_not_kept, "not a kept feature"),
+            (_short_stds, "stds"),
+            (_zero_std, "std of at least"),
+            (_short_assignment, "labels for"),
+        ],
+    )
+    def test_inconsistent_parts_rejected(
+        self, block_model, tmp_path, corrupt, match
+    ):
+        _, _, model = block_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
             load_model(path)
 
     def test_missing_key_rejected(self, block_model, tmp_path):
