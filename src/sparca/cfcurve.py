@@ -10,15 +10,15 @@ smoothed first derivative, i.e. the start of the plateau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cluster import _cut_groups, feature_distances, ward_linkage
+from .cluster import Linkage, _cut_groups, feature_distances, ward_linkage
 from .data import (
     standardize_apply,
     standardize_fit,
     thread_map,
-    validate_matrix,
 )
 from .horn import HornParams, horn_components
 
@@ -113,6 +113,69 @@ def default_grid(n_features: int, n_points: int = 40):
     return np.unique(grid)
 
 
+class FeatureTree:
+    """Standardized data, its Ward tree and a node -> Horn count cache.
+
+    ``cf_curve`` and ``pipeline.fit`` both cut one tree, so a fit that
+    selects its own cluster count reuses the curve's tree and Horn counts.
+    Stages are module globals here, where stage tracers wrap them. A single
+    kept column gets an empty linkage, whose only cut is that column.
+    """
+
+    def __init__(self, X, horn_params=None, n_threads=None):
+        self.horn_params = horn_params or HornParams()
+        self.n_threads = n_threads
+        self.scaler = standardize_fit(X)
+        self.Xs = standardize_apply(self.scaler, X)
+        self._count_of_node = {}
+
+    @cached_property
+    def linkage(self) -> Linkage:
+        """Built on first cut, so callers can reject bad cuts before Ward."""
+        m = self.scaler.n_kept
+        if m == 1:
+            empty = np.empty(0, dtype=np.int64)
+            return Linkage(empty, empty, np.empty(0), empty, 1)
+        return ward_linkage(feature_distances(self.Xs), m)
+
+    def cuts(self, ks):
+        """``(groups, counts)`` of the cut at each cluster count in ``ks``.
+
+        ``counts[i]`` is the Horn component count of ``groups[i]``. Cuts are
+        nested, so clusters recur across cuts: Horn runs once per dendrogram
+        node not seen before, in first-seen order.
+        """
+        cuts = [_cut_groups(self.linkage, int(k)) for k in ks]
+        cols_of_new = {}
+        for node_ids, groups in cuts:
+            for node, cols in zip(node_ids, groups):
+                if node not in self._count_of_node:
+                    cols_of_new.setdefault(node, cols)
+        counts = thread_map(
+            lambda cols: horn_components(self.Xs[:, cols], self.horn_params),
+            cols_of_new.values(),
+            self.n_threads,
+        )
+        self._count_of_node.update(zip(cols_of_new, counts))
+        return [
+            (groups, [self._count_of_node[node] for node in node_ids])
+            for node_ids, groups in cuts
+        ]
+
+    def curve(self, grid=None, smoothing_window: int = 3) -> CfCurve:
+        """The cf-curve over ``grid`` (default: ``default_grid``)."""
+        m = self.scaler.n_kept
+        grid = default_grid(m) if grid is None else np.asarray(grid, np.int64)
+        if grid.size < 1:
+            raise ValueError("grid is empty")
+        if (np.diff(grid) <= 0).any():
+            raise ValueError("grid must be strictly increasing")
+        if grid[0] < 1 or grid[-1] > m:
+            raise ValueError(f"grid values must lie in [1, {m}]")
+        counts = [sum(counts) for _, counts in self.cuts(grid)]
+        return CfCurve.from_points(grid, counts, smoothing_window)
+
+
 def cf_curve(
     X,
     grid=None,
@@ -122,43 +185,9 @@ def cf_curve(
 ) -> CfCurve:
     """Trace the cluster-feature curve over a grid of cluster counts.
 
-    One Ward linkage is computed and cut at every grid value; the feature
-    count at each cut is the sum of per-cluster component counts. Cuts are
-    nested, so clusters recur across grid values: the component count is
-    computed once per distinct dendrogram node, in first-seen order, and
-    summed per cut.
+    One ``FeatureTree`` is cut at every grid value (default: ``default_grid``
+    of the kept column count); the feature count at each cut is the sum of
+    per-cluster Horn counts, each computed once per distinct dendrogram node.
+    ``fit`` with ``n_clusters=None`` selects from this same curve.
     """
-    X = validate_matrix(X)
-    if horn_params is None:
-        horn_params = HornParams()
-    scaler = standardize_fit(X)
-    Xs = standardize_apply(scaler, X)
-    m = scaler.n_kept
-    if grid is None:
-        grid = default_grid(m)
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size < 1:
-        raise ValueError("grid is empty")
-    if (np.diff(grid) <= 0).any():
-        raise ValueError("grid must be strictly increasing")
-    if grid[0] < 1 or grid[-1] > m:
-        raise ValueError(f"grid values must lie in [1, {m}]")
-    if m == 1:
-        return CfCurve.from_points(grid, np.ones_like(grid), smoothing_window)
-    linkage = ward_linkage(feature_distances(Xs), m)
-
-    cuts = [_cut_groups(linkage, int(k)) for k in grid]
-    cols_of_node = {}
-    for node_ids, groups in cuts:
-        for node, cols in zip(node_ids, groups):
-            cols_of_node.setdefault(node, cols)
-    horn_counts = thread_map(
-        lambda cols: horn_components(Xs[:, cols], horn_params),
-        cols_of_node.values(),
-        n_threads,
-    )
-    count_of_node = dict(zip(cols_of_node, horn_counts))
-    counts = [
-        sum(count_of_node[node] for node in node_ids) for node_ids, _ in cuts
-    ]
-    return CfCurve.from_points(grid, counts, smoothing_window)
+    return FeatureTree(X, horn_params, n_threads).curve(grid, smoothing_window)

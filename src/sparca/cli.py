@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from . import evalkit
-from .cfcurve import cf_curve, default_grid
+from .cfcurve import cf_curve
 from .data import load_csv, load_idx, write_csv
 from .horn import HornParams
 from .pipeline import fit, load_model, save_model, transform
@@ -72,21 +72,17 @@ def _float_list(text):
 
 def cmd_fit(args) -> int:
     X = load_csv(args.input, has_header=args.has_header)
-    horn = _horn_params(args)
-    if args.clusters is None:
-        curve = cf_curve(X, horn_params=horn, n_threads=args.threads)
-        n_clusters = curve.selected
-        print(f"auto-selected {n_clusters} clusters "
-              f"({dict(curve.points)[n_clusters]} features on the curve)")
-    else:
-        n_clusters = args.clusters
     model = fit(
         X,
-        n_clusters=n_clusters,
+        n_clusters=args.clusters,
         variance_threshold=args.variance,
-        horn_params=horn,
+        horn_params=_horn_params(args),
         n_threads=args.threads,
     )
+    if args.clusters is None:
+        # The selected cut's component count is its point on the curve.
+        print(f"auto-selected {model.n_clusters} clusters "
+              f"({model.n_reduced} features on the curve)")
     save_model(model, args.out)
     supports = [c.support_size for c in model.components]
     evrs = [c.achieved_evr for c in model.components]
@@ -183,15 +179,9 @@ def cmd_eval(args) -> int:
         y, sizes, seed=args.seed
     )
     horn = _horn_params(args)
-
-    if args.clusters is None:
-        curve = cf_curve(X[embed_idx], horn_params=horn, n_threads=args.threads)
-        n_clusters = curve.selected
-    else:
-        n_clusters = args.clusters
     sparca_model = fit(
         X[embed_idx],
-        n_clusters=n_clusters,
+        n_clusters=args.clusters,
         variance_threshold=args.variance,
         horn_params=horn,
         n_threads=args.threads,
@@ -265,10 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     count = p.add_mutually_exclusive_group()
     count.add_argument("--clusters", type=int, default=None,
-                       help="cluster count; omit (or use --auto) to select "
-                            "automatically from the cluster-feature curve")
+                       help="cluster count; omit (or use --auto) to select it "
+                            "from the cluster-feature curve over the default "
+                            "grid, on the Ward tree the fit itself uses")
     count.add_argument("--auto", action="store_true",
-                       help="select the cluster count automatically")
+                       help="select the cluster count from the "
+                            "cluster-feature curve (same as omitting "
+                            "--clusters)")
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")

@@ -48,6 +48,14 @@ class ClusterAssignment:
     labels: np.ndarray
     n_clusters: int
 
+    @classmethod
+    def from_groups(cls, groups):
+        """Label every feature with the index of the group holding it."""
+        labels = np.empty(sum(len(group) for group in groups), dtype=np.int64)
+        for cid, group in enumerate(groups):
+            labels[group] = cid
+        return cls(labels=labels, n_clusters=len(groups))
+
     def members(self, cluster_id) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
 
@@ -56,17 +64,24 @@ def feature_distances(X_std):
     """Pairwise Euclidean distances between columns, condensed row-major.
 
     Entry order is the standard condensed layout: (0,1), (0,2), ...,
-    (m-2,m-1). Requires at least two columns.
+    (m-2,m-1). Requires at least two columns. Squared distances are formed
+    as ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` in place, so besides the input the
+    peak memory is about 2*8*m^2 + 4*m^2 bytes: the m x m Gram matrix, the
+    m x m squared distances and the condensed vector.
     """
+    from scipy.spatial.distance import squareform
+
     X = validate_matrix(X_std, name="X_std")
-    m = X.shape[1]
-    if m < 2:
+    if X.shape[1] < 2:
         raise ValueError("need at least 2 features to compute distances")
     gram = X.T @ X
     sq = np.diag(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    iu, ju = np.triu_indices(m, k=1)
-    return np.sqrt(np.maximum(d2[iu, ju], 0.0))
+    d2 = sq[:, None] + sq[None, :]
+    gram *= 2.0
+    d2 -= gram
+    d = squareform(d2, checks=False)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
 def ward_linkage(d, m: int) -> Linkage:
@@ -107,45 +122,24 @@ def ward_linkage(d, m: int) -> Linkage:
 def _cut_groups(linkage: Linkage, k: int):
     """Leaf groups after undoing the ``k - 1`` largest-distance merges.
 
-    Returns ``(node_ids, groups)`` ordered by smallest contained leaf, where
-    ``node_ids[i]`` is the dendrogram node spanning exactly ``groups[i]``.
+    Node ``m + i`` is made by merge ``i`` and merges are sorted by distance,
+    so a cut at ``k`` keeps merges ``0..m-k-1``. Walking those from the last
+    one down hands both children their parent's topmost kept node, so every
+    leaf ends on the root of its group. Returns ``(node_ids, groups)``
+    ordered by smallest contained leaf, where ``node_ids[i]`` is the
+    dendrogram node spanning exactly ``groups[i]``.
     """
     m = linkage.n_leaves
     if not 1 <= k <= m:
         raise ValueError(f"cluster count {k} out of range [1, {m}]")
-    parent = np.arange(m, dtype=np.int64)
-    node_of_root = np.arange(m, dtype=np.int64)
-    rep = np.empty(2 * m - 1, dtype=np.int64)
-    rep[:m] = np.arange(m)
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    # Merges are stored sorted by distance, so keeping the first m-k replays
-    # the tree with the last k-1 (largest) merges undone.
-    for i in range(m - k):
-        ra = find(rep[linkage.left[i]])
-        rb = find(rep[linkage.right[i]])
-        parent[rb] = ra
-        node_of_root[ra] = m + i
-        rep[m + i] = ra
-
-    roots = np.array([find(i) for i in range(m)])
-    order = []
-    seen = set()
-    for leaf in range(m):
-        r = roots[leaf]
-        if r not in seen:
-            seen.add(r)
-            order.append(r)
-    node_ids = [int(node_of_root[r]) for r in order]
-    groups = [np.flatnonzero(roots == r) for r in order]
-    return node_ids, groups
+    left, right = linkage.left.tolist(), linkage.right.tolist()
+    top = list(range(2 * m - 1))
+    for i in reversed(range(m - k)):
+        top[left[i]] = top[right[i]] = top[m + i]
+    roots = np.array(top[:m])
+    _, first = np.unique(roots, return_index=True)
+    node_ids = roots[np.sort(first)].tolist()
+    return node_ids, [np.flatnonzero(roots == node) for node in node_ids]
 
 
 def cut_to_k(linkage: Linkage, k: int) -> ClusterAssignment:
@@ -154,8 +148,4 @@ def cut_to_k(linkage: Linkage, k: int) -> ClusterAssignment:
     Cluster ids are assigned by the smallest feature index each cluster
     contains, so labels are stable and interpretable.
     """
-    _, groups = _cut_groups(linkage, k)
-    labels = np.empty(linkage.n_leaves, dtype=np.int64)
-    for cid, group in enumerate(groups):
-        labels[group] = cid
-    return ClusterAssignment(labels=labels, n_clusters=k)
+    return ClusterAssignment.from_groups(_cut_groups(linkage, k)[1])

@@ -15,6 +15,8 @@ import numpy as np
 from scipy import sparse
 
 from ._version import __version__
+from .cfcurve import FeatureTree
+# fit reaches its stages through FeatureTree; stage tracers look them up here.
 from .cluster import ClusterAssignment, cut_to_k, feature_distances, ward_linkage
 from .compress import pca_fit
 from .data import (
@@ -87,8 +89,7 @@ def _assemble_projection(components, kept_features, n_reduced):
     )
 
 
-def _fit_cluster(x_block, orig_indices, cluster_id, variance_threshold, horn_params):
-    h = horn_components(x_block, horn_params)
+def _fit_cluster(x_block, orig_indices, cluster_id, h, variance_threshold):
     pca = pca_fit(x_block, h)
     return [
         omp_fit(
@@ -105,7 +106,7 @@ def _fit_cluster(x_block, orig_indices, cluster_id, variance_threshold, horn_par
 
 def fit(
     X,
-    n_clusters: int,
+    n_clusters: int | None = None,
     variance_threshold: float = 0.95,
     horn_params: HornParams | None = None,
     n_threads: int | None = None,
@@ -116,8 +117,12 @@ def fit(
     ----------
     X : array, shape (n_samples, n_features)
         Raw data; constant columns are dropped during standardization.
-    n_clusters : int
+    n_clusters : int or None
         Number of Ward feature clusters; at most the kept feature count.
+        ``None`` (the default) selects it from the cf-curve over
+        ``default_grid`` on the fit's own Ward tree, exactly as
+        ``cf_curve(X, horn_params=horn_params).selected``; the chosen cut
+        reuses the curve's Horn counts.
     variance_threshold : float
         Minimum explained-variance ratio each sparse component must recover,
         default 0.95.
@@ -138,25 +143,22 @@ def fit(
         raise ValueError("variance_threshold must be in (0, 1]")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit")
-    scaler = standardize_fit(X)
-    Xs = standardize_apply(scaler, X)
-    m_kept = scaler.n_kept
-    if not 1 <= n_clusters <= m_kept:
+    tree = FeatureTree(X, horn_params, n_threads)
+    scaler = tree.scaler
+    if n_clusters is None:
+        n_clusters = tree.curve().selected
+    if not 1 <= n_clusters <= scaler.n_kept:
         raise ValueError(
-            f"n_clusters {n_clusters} out of range [1, {m_kept}] "
+            f"n_clusters {n_clusters} out of range [1, {scaler.n_kept}] "
             f"(kept features)"
         )
-    if m_kept == 1:
-        assignment = ClusterAssignment(labels=np.zeros(1, dtype=np.int64), n_clusters=1)
-    else:
-        linkage = ward_linkage(feature_distances(Xs), m_kept)
-        assignment = cut_to_k(linkage, n_clusters)
+    [(groups, counts)] = tree.cuts([n_clusters])
 
     def run(cid):
-        cols = assignment.members(cid)
+        cols = groups[cid]
         return _fit_cluster(
-            Xs[:, cols], scaler.kept_features[cols], cid, variance_threshold,
-            horn_params,
+            tree.Xs[:, cols], scaler.kept_features[cols], cid, counts[cid],
+            variance_threshold,
         )
 
     per_cluster = thread_map(run, range(n_clusters), n_threads)
@@ -169,7 +171,7 @@ def fit(
         n_clusters=n_clusters,
         variance_threshold=variance_threshold,
         horn_params=horn_params,
-        assignment=assignment,
+        assignment=ClusterAssignment.from_groups(groups),
         components=components,
         projection=projection,
     )
@@ -258,13 +260,31 @@ def _check_model(scaler, labels, n_clusters, components):
     if labels.min() < 0 or labels.max() >= n_clusters:
         raise ValueError(f"assignment labels must lie in [0, {n_clusters})")
     cluster_of = dict(zip(kept.tolist(), labels.tolist()))
+    ranks_of = {}
     for comp in components:
+        if not comp.entries:
+            raise ValueError(f"component {comp.source} has no entries")
         for feature, _ in comp.entries:
             if cluster_of.get(feature) != comp.cluster:
                 raise ValueError(
                     f"component {comp.source} uses feature {feature}, "
                     f"which is not a kept feature of its cluster"
                 )
+        ranks = ranks_of.setdefault(comp.cluster, [])
+        if comp.rank in ranks:
+            raise ValueError(f"component {comp.source} appears twice")
+        ranks.append(comp.rank)
+    # Every key of ranks_of lies in [0, n_clusters), so this loop stops at
+    # the first cluster without components.
+    for cid in range(n_clusters):
+        ranks = ranks_of.get(cid, [])
+        if not ranks:
+            raise ValueError(f"cluster {cid} has no components")
+        if ranks != list(range(len(ranks))):
+            raise ValueError(
+                f"cluster {cid} has ranks {ranks}, expected "
+                f"0..{len(ranks) - 1} in order"
+            )
 
 
 def load_model(path) -> SparcaModel:
@@ -272,7 +292,8 @@ def load_model(path) -> SparcaModel:
 
     Raises ``ValueError`` on unknown format versions, malformed files and
     parts that do not fit together (scaler lengths, kept features, std,
-    assignment, component supports); never returns a partial model.
+    assignment, component supports, per-cluster ranks ``0..h-1``); never
+    returns a partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take the slow, direct route: Ward merges are chosen by
-brute-force sum-of-squares increase over all cluster pairs, and the matching
-pursuit path re-solves every least-squares fit from scratch with
-``np.linalg.lstsq``.
+brute-force sum-of-squares increase over all cluster pairs, cuts replay the
+kept merges with Python sets, and the matching pursuit path re-solves every
+least-squares fit from scratch with ``np.linalg.lstsq``.
 """
 
 import numpy as np
@@ -51,6 +51,20 @@ def naive_ward(X):
         clusters.append(merged)
     partitions.append(frozenset(clusters))
     return partitions, distances
+
+
+def naive_cut(linkage, k):
+    """Clusters left after replaying the first ``m - k`` merges with sets.
+
+    Returns ``{node_id: frozenset_of_leaves}``; merge ``i`` makes node
+    ``m + i`` from its two children.
+    """
+    m = linkage.n_leaves
+    clusters = {j: frozenset([j]) for j in range(m)}
+    for i in range(m - k):
+        left, right = int(linkage.left[i]), int(linkage.right[i])
+        clusters[m + i] = clusters.pop(left) | clusters.pop(right)
+    return clusters
 
 
 def omp_reference_path(D, target, variance_threshold):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparca.cfcurve
+import sparca.pipeline
 from sparca.cfcurve import CfCurve, cf_curve, default_grid, select_clusters
 from sparca.cluster import _cut_groups, feature_distances, ward_linkage
 from sparca.data import standardize_apply, standardize_fit
@@ -110,6 +111,16 @@ class TestCfCurve:
             cf_curve(block_data, grid=[0, 4])
         with pytest.raises(ValueError, match="lie in"):
             cf_curve(block_data, grid=[2, 2000])
+
+    def test_bad_cuts_rejected_before_ward(self, block_data, monkeypatch):
+        def no_ward(d, m):
+            raise AssertionError("Ward ran before the cut was checked")
+
+        monkeypatch.setattr(sparca.cfcurve, "ward_linkage", no_ward)
+        with pytest.raises(ValueError, match="lie in"):
+            cf_curve(block_data, grid=[2, 2000])
+        with pytest.raises(ValueError, match="out of range"):
+            sparca.pipeline.fit(block_data, n_clusters=2000)
 
     def test_threads_do_not_change_result(self, block_data):
         grid = [2, 8, 30]

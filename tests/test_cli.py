@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import sparca.cfcurve
 import sparca.evalkit
+from sparca.cfcurve import default_grid
 from sparca.cli import main
-from sparca.data import load_csv, write_csv
+from sparca.cluster import _cut_groups, feature_distances, ward_linkage
+from sparca.data import load_csv, standardize_apply, standardize_fit, write_csv
 from sparca.pipeline import load_model
 
 from conftest import block_factor_data
@@ -53,6 +56,43 @@ class TestFit:
         # the automatic choice lands on the plateau of the curve, where the
         # reduced feature count equals the true factor count
         assert model.n_reduced == 8
+
+    def test_auto_builds_one_tree_and_runs_horn_once_per_node(
+        self, block_csv, tmp_path, capsys, monkeypatch
+    ):
+        X = load_csv(block_csv)
+        Xs = standardize_apply(standardize_fit(X), X)
+        linkage = ward_linkage(feature_distances(Xs), Xs.shape[1])
+        nodes = {
+            node
+            for k in default_grid(Xs.shape[1])
+            for node in _cut_groups(linkage, int(k))[0]
+        }
+        ward_calls = 0
+        horn_blocks = []
+        ward, horn = sparca.cfcurve.ward_linkage, sparca.cfcurve.horn_components
+
+        def counting_ward(d, m):
+            nonlocal ward_calls
+            ward_calls += 1
+            return ward(d, m)
+
+        def recording_horn(x, params):
+            horn_blocks.append(x.tobytes())
+            return horn(x, params)
+
+        monkeypatch.setattr(sparca.cfcurve, "ward_linkage", counting_ward)
+        monkeypatch.setattr(sparca.cfcurve, "horn_components", recording_horn)
+        code = main([
+            "fit", "--input", str(block_csv), "--out", str(tmp_path / "m.json"),
+            "--seed", "0", "--threads", "1",
+        ])
+        assert code == 0
+        assert ward_calls == 1
+        assert len(horn_blocks) == len(set(horn_blocks)) == len(nodes)
+        assert "auto-selected 2 clusters (8 features on the curve)" in (
+            capsys.readouterr().out
+        )
 
     def test_auto_excludes_clusters(self, block_csv, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparca.cluster import (
+    _cut_groups,
     cut_to_k,
     feature_distances,
     ward_linkage,
@@ -9,7 +10,7 @@ from sparca.cluster import (
 from sparca.data import standardize_apply, standardize_fit
 
 from conftest import partition_sets
-from oracles import naive_ward, ward_delta_sse
+from oracles import naive_cut, naive_ward, ward_delta_sse
 
 
 def _standardized(rng, n, m):
@@ -139,6 +140,19 @@ class TestWardLinkage:
             ward_linkage(np.ones(4), 4)
 
 
+# Inputs with many exact distance ties, where the kept-merge set decides the
+# cut: every pair ties in eye(12), and the vertices of the 4-cube, 20 unit
+# columns over 40 rows and a random 8x16 binary matrix tie in part.
+_TIE_INPUTS = {
+    "eye12": np.eye(12),
+    "4cube": _HYPERCUBE,
+    "eye40x20": np.eye(40)[:, :20],
+    "binary8x16": np.random.default_rng(0)
+    .integers(0, 2, (8, 16))
+    .astype(np.float64),
+}
+
+
 class TestCutToK:
     @pytest.fixture()
     def linkage(self):
@@ -177,6 +191,21 @@ class TestCutToK:
             for cluster in partition_sets(fine):
                 parents = {coarse[i] for i in cluster}
                 assert len(parents) == 1
+
+    @pytest.mark.parametrize("name", sorted(_TIE_INPUTS))
+    def test_cut_groups_match_naive_cut(self, name):
+        X = _TIE_INPUTS[name]
+        m = X.shape[1]
+        linkage = ward_linkage(feature_distances(X), m)
+        for k in range(1, m + 1):
+            node_ids, groups = _cut_groups(linkage, k)
+            expected = sorted(
+                naive_cut(linkage, k).items(), key=lambda item: min(item[1])
+            )
+            assert node_ids == [node for node, _ in expected]
+            assert [g.tolist() for g in groups] == [
+                sorted(leaves) for _, leaves in expected
+            ]
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(5)

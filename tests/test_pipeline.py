@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparca.cfcurve import cf_curve
 from sparca.compress import pca_fit
 from sparca.data import standardize_apply
 from sparca.horn import HornParams
@@ -169,6 +170,22 @@ def _short_assignment(doc):
     doc["assignment"].pop()
 
 
+def _duplicated_component(doc):
+    doc["components"].append(dict(doc["components"][0]))
+
+
+def _cluster_without_components(doc):
+    doc["components"] = [c for c in doc["components"] if c["cluster"] != 0]
+
+
+def _rank_gap(doc):
+    doc["components"][0]["rank"] += 1
+
+
+def _empty_entries(doc):
+    doc["components"][0]["entries"] = []
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -186,6 +203,19 @@ class TestSerialization:
             save_model(model, tmp_path / f"m{run}.json")
         assert (tmp_path / "m0.json").read_bytes() == (
             tmp_path / "m1.json"
+        ).read_bytes()
+
+    def test_auto_clusters_match_the_cf_curve_selection(self, tmp_path):
+        X, _ = block_factor_data(150, n_blocks=3, seed=9)
+        horn = HornParams(seed=5)
+        selected = cf_curve(X, horn_params=horn).selected
+        save_model(fit(X, horn_params=horn), tmp_path / "auto.json")
+        save_model(
+            fit(X, n_clusters=selected, horn_params=horn),
+            tmp_path / "fixed.json",
+        )
+        assert (tmp_path / "auto.json").read_bytes() == (
+            tmp_path / "fixed.json"
         ).read_bytes()
 
     def test_unknown_version_rejected(self, block_model, tmp_path):
@@ -213,6 +243,10 @@ class TestSerialization:
             (_short_stds, "stds"),
             (_zero_std, "std of at least"),
             (_short_assignment, "labels for"),
+            (_duplicated_component, "appears twice"),
+            (_cluster_without_components, "cluster 0 has no components"),
+            (_rank_gap, "ranks"),
+            (_empty_entries, "no entries"),
         ],
     )
     def test_inconsistent_parts_rejected(

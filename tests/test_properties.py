@@ -1,0 +1,68 @@
+"""Property tests over random small inputs, constant columns and n < m."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from sparca.horn import HornParams
+from sparca.pipeline import fit, load_model, save_model, transform
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+# Always tried: fewer rows than columns, two of them constant.
+WIDE_WITH_CONSTANTS = np.random.default_rng(0).standard_normal((3, 8))
+WIDE_WITH_CONSTANTS[:, [2, 5]] = 1.5
+
+
+@st.composite
+def fit_cases(draw):
+    """``(X, n_clusters)``: a few rows and columns, some columns constant
+    (never all), and a cluster count in range or ``None`` for automatic
+    selection."""
+    n = draw(st.integers(3, 10))
+    m = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    X = np.random.default_rng(seed).standard_normal((n, m))
+    constant = sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))
+    X[:, constant] = draw(st.floats(-5.0, 5.0))
+    n_kept = m - len(constant)
+    n_clusters = draw(st.none() | st.integers(1, n_kept))
+    return X, n_clusters
+
+
+def _model_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases())
+@example((WIDE_WITH_CONSTANTS, None))
+@example((WIDE_WITH_CONSTANTS, 3))
+def test_fit_bytes_do_not_depend_on_thread_count(case):
+    X, n_clusters = case
+    horn = HornParams(seed=1)
+    one = fit(X, n_clusters, horn_params=horn, n_threads=1)
+    two = fit(X, n_clusters, horn_params=horn, n_threads=2)
+    assert _model_bytes(one) == _model_bytes(two)
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases(), st.integers(0, 2**32 - 1))
+@example((WIDE_WITH_CONSTANTS, None), 0)
+def test_save_load_transform_round_trip(case, batch_seed):
+    X, n_clusters = case
+    model = fit(X, n_clusters, n_threads=1)
+    batch = np.random.default_rng(batch_seed).standard_normal((4, X.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        loaded = load_model(path)
+    before, after = transform(model, batch), transform(loaded, batch)
+    assert np.array_equal(before.values, after.values)
+    assert before.column_provenance == after.column_provenance
