@@ -20,7 +20,7 @@ from .data import (
     standardize_fit,
     thread_map,
 )
-from .horn import HornParams, horn_components
+from .horn import HornParams, _PermutationTable, horn_components
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +118,9 @@ class FeatureTree:
 
     ``cf_curve`` and ``pipeline.fit`` both cut one tree, so a fit that
     selects its own cluster count reuses the curve's tree and Horn counts.
+    The tree also owns the Horn null's permutation table (capped at about
+    16 MB, see ``horn._PermutationTable``): every block has the tree's row
+    count, so the permutations are sorted once per tree, not once per node.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """
@@ -128,6 +131,7 @@ class FeatureTree:
         self.scaler = standardize_fit(X)
         self.Xs = standardize_apply(self.scaler, X)
         self._count_of_node = {}
+        self._perms = _PermutationTable(self.horn_params, *self.Xs.shape)
 
     @cached_property
     def linkage(self) -> Linkage:
@@ -152,7 +156,9 @@ class FeatureTree:
                 if node not in self._count_of_node:
                     cols_of_new.setdefault(node, cols)
         counts = thread_map(
-            lambda cols: horn_components(self.Xs[:, cols], self.horn_params),
+            lambda cols: horn_components(
+                self.Xs[:, cols], self.horn_params, perms=self._perms
+            ),
             cols_of_new.values(),
             self.n_threads,
         )

@@ -3,10 +3,20 @@
 The component count for a feature block is the number of observed covariance
 eigenvalues exceeding a percentile of rank-matched eigenvalues from data with
 each column's rows independently shuffled, floored at one component.
+
+The shuffles are keyed by (seed, trial, block-local column, row), not by the
+original feature index. Column j of every block with the same row count draws
+the same permutation, so one ``_PermutationTable`` serves every block of a
+feature tree. It also means that reordering a block's columns changes which
+stream each column draws: Horn counts are equivariant under column
+permutations only in distribution, not draw for draw.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +47,21 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _permutations(seed: int, trials, n_cols: int, n_rows: int):
+# Entries per chunk of permuted trials, and the cap of a permutation table.
+_CHUNK_ENTRIES = 4_000_000
+
+
+def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
     """Row permutations for every (trial, column) pair, shape (t, c, n).
 
-    Each pair gets its own counter-based stream: sort keys are SplitMix64
-    hashes of (seed, trial, column, row), so results do not depend on
-    evaluation order or thread scheduling. Trial, column and row are packed
-    into 20, 22 and 22 bits; larger values would give two streams the same
-    keys, so they are rejected.
+    Columns run over ``[first_col, n_cols)``. Each pair gets its own
+    counter-based stream: sort keys are SplitMix64 hashes of (seed, trial,
+    block-local column, row), so results do not depend on evaluation order
+    or thread scheduling, and the sort runs along rows only: the
+    permutations for ``n_cols = c`` are the first ``c`` columns of those for
+    any wider block. Trial, column and row are packed into 20, 22 and 22
+    bits; larger values would give two streams the same keys, so they are
+    rejected.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
     if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
@@ -52,7 +69,7 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
             "permutation streams need fewer than 2**22 rows, 2**22 columns "
             "and 2**20 trials"
         )
-    c = np.arange(n_cols, dtype=np.uint64).reshape(1, -1, 1)
+    c = np.arange(first_col, n_cols, dtype=np.uint64).reshape(1, -1, 1)
     i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
     packed = (t << np.uint64(44)) | (c << np.uint64(22)) | i
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
@@ -60,40 +77,95 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
     return np.argsort(keys, axis=-1, kind="stable")
 
 
+class _PermutationTable:
+    """The null permutations of every block of one feature tree.
+
+    ``_perms[:, :m]`` holds ``_permutations(seed, range(n_repeats), m,
+    n_rows)`` as int32 (``n_rows < 2**22``) for a block of ``m`` columns.
+    Columns are filled on demand under a lock, so threads share one table.
+    The table reserves ``4 * n_repeats * C * n_rows`` bytes for ``C =
+    min(n_cols, _CHUNK_ENTRIES // (n_repeats * n_rows))`` columns, at most
+    about 16 MB, and only filled columns become resident; a block wider
+    than ``C`` generates its permutations per chunk instead, which gives
+    the same permutations.
+
+    The reservation is an anonymous mapping of its own, not a block of the
+    allocator's heap: a long-lived table there kept the Horn temporaries
+    freed around it resident, about 20 MB more peak resident memory in
+    repeated cf-curve and fit jobs on 1000 x 96 inputs.
+    """
+
+    def __init__(self, params: HornParams, n_rows: int, n_cols: int):
+        self.seed = params.seed
+        self.n_repeats = params.n_repeats
+        self.n_rows = n_rows
+        cols = min(n_cols, _CHUNK_ENTRIES // (params.n_repeats * n_rows))
+        shape = (params.n_repeats, cols, n_rows)
+        size = math.prod(shape)
+        buffer = mmap.mmap(-1, 4 * max(size, 1))
+        self._perms = np.frombuffer(buffer, np.int32, size).reshape(shape)
+        self._filled = 0
+        self._lock = threading.Lock()
+
+    def columns(self, m: int):
+        """Permutations of columns ``[0, m)``, or ``None`` past the table."""
+        if m > self._perms.shape[1]:
+            return None
+        with self._lock:
+            if self._filled < m:
+                self._perms[:, self._filled : m] = _permutations(
+                    self.seed, range(self.n_repeats), m, self.n_rows,
+                    self._filled,
+                )
+                self._filled = m
+        return self._perms[:, :m]
+
+
 def _sorted_eigvals(x):
     """Descending eigenvalues of the population covariance of ``x``.
 
-    Works through the smaller of the feature-space covariance and the
-    sample-space Gram matrix; trailing ranks beyond the data rank are zero.
+    ``x`` has shape ``(..., n, m)``; stacked matrices go through one
+    ``eigvalsh`` call. Works through the smaller of the feature-space
+    covariance and the sample-space Gram matrix; trailing ranks beyond the
+    data rank are zero.
     """
-    n, m = x.shape
-    xc = x - x.mean(axis=0)
+    n, m = x.shape[-2:]
+    xc = x - x.mean(axis=-2, keepdims=True)
+    xt = xc.swapaxes(-1, -2)
     if m <= n:
-        w = np.linalg.eigvalsh(xc.T @ xc / n)
-        vals = w[::-1]
+        vals = np.linalg.eigvalsh(xt @ xc / n)[..., ::-1]
     else:
-        w = np.linalg.eigvalsh(xc @ xc.T / n)
-        vals = np.concatenate([w[::-1], np.zeros(m - n)])
+        w = np.linalg.eigvalsh(xc @ xt / n)
+        zeros = np.zeros(w.shape[:-1] + (m - n,))
+        vals = np.concatenate([w[..., ::-1], zeros], axis=-1)
     return np.maximum(vals, 0.0)
 
 
-def _null_eigvals(x, params: HornParams):
+def _null_eigvals(x, params: HornParams, table=None):
     n, m = x.shape
     null = np.empty((params.n_repeats, m))
     # Chunk trials so the permuted copies stay within a modest memory budget.
-    chunk = max(1, int(4e6 // max(n * m, 1)))
+    chunk = max(1, _CHUNK_ENTRIES // max(n * m, 1))
+    perms = None if table is None else table.columns(m)
     cols = np.arange(m)
     for start in range(0, params.n_repeats, chunk):
-        trials = np.arange(start, min(start + chunk, params.n_repeats))
-        perms = _permutations(params.seed, trials, m, n)
-        # permuted[t, :, c] = x[perms[t, c, :], c]
-        permuted = x[perms.transpose(0, 2, 1), cols[None, None, :]]
-        for j, t in enumerate(trials):
-            null[t] = _sorted_eigvals(permuted[j])
+        stop = min(start + chunk, params.n_repeats)
+        if perms is None:
+            p = _permutations(params.seed, range(start, stop), m, n)
+        else:
+            p = perms[start:stop]
+        # permuted[t, :, c] = x[p[t, c, :], c]
+        permuted = x[p.transpose(0, 2, 1), cols]
+        null[start:stop] = _sorted_eigvals(permuted)
     return null
 
 
-def horn_components(x, params: HornParams | None = None) -> int:
+def horn_components(
+    x,
+    params: HornParams | None = None,
+    *,
+    perms: _PermutationTable | None = None,
+) -> int:
     """Number of components to retain for one standardized feature block.
 
     Parameters
@@ -103,6 +175,10 @@ def horn_components(x, params: HornParams | None = None) -> int:
     params : HornParams, optional
         Trial count, percentile, and seed; defaults are 20 trials at the
         95th percentile with seed 0.
+    perms : _PermutationTable, optional
+        Shared null permutations for this seed, trial count and row count
+        (``FeatureTree`` passes its own); the count is the same with or
+        without it.
 
     Returns
     -------
@@ -117,13 +193,17 @@ def horn_components(x, params: HornParams | None = None) -> int:
     n, m = x.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if perms is not None and (perms.seed, perms.n_repeats, perms.n_rows) != (
+        params.seed, params.n_repeats, n
+    ):
+        raise ValueError("permutation table does not match params and rows")
     cap = min(n - 1, m)
     if m == 1:
         # Permuting a single column never changes its variance, so the
         # observed eigenvalue can never exceed the null; the floor applies.
         return 1
     observed = _sorted_eigvals(x)
-    null = _null_eigvals(x, params)
+    null = _null_eigvals(x, params, perms)
     thresholds = np.percentile(null, params.percentile, axis=0)
     exceeds = observed > thresholds
     # Count the leading run: once a rank fails to beat its null quantile,

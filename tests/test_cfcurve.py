@@ -138,10 +138,10 @@ class TestCfCurve:
         calls = 0
         horn = sparca.cfcurve.horn_components
 
-        def counting_horn(x, params):
+        def counting_horn(x, params, **kwargs):
             nonlocal calls
             calls += 1
-            return horn(x, params)
+            return horn(x, params, **kwargs)
 
         monkeypatch.setattr(sparca.cfcurve, "horn_components", counting_horn)
         cf_curve(block_data, grid=grid, n_threads=1)

@@ -77,9 +77,9 @@ class TestFit:
             ward_calls += 1
             return ward(d, m)
 
-        def recording_horn(x, params):
+        def recording_horn(x, params, **kwargs):
             horn_blocks.append(x.tobytes())
-            return horn(x, params)
+            return horn(x, params, **kwargs)
 
         monkeypatch.setattr(sparca.cfcurve, "ward_linkage", counting_ward)
         monkeypatch.setattr(sparca.cfcurve, "horn_components", recording_horn)

@@ -1,10 +1,16 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import sparca.horn
 from sparca.horn import (
+    _CHUNK_ENTRIES,
     HornParams,
+    _null_eigvals,
+    _PermutationTable,
     _permutations,
     _sorted_eigvals,
     horn_components,
@@ -114,3 +120,91 @@ class TestHornComponents:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             horn_components(np.ones((1, 3)))
+
+
+class TestPermutationTable:
+    def test_narrow_blocks_and_column_ranges_are_slices(self):
+        trials = [0, 3, 7]
+        full = _permutations(5, trials, 9, 13)
+        for c in range(1, 10):
+            assert np.array_equal(_permutations(5, trials, c, 13), full[:, :c])
+        for c0, c1 in [(0, 9), (2, 7), (8, 9)]:
+            assert np.array_equal(
+                _permutations(5, trials, c1, 13, first_col=c0), full[:, c0:c1]
+            )
+
+    def test_shared_table_gives_the_same_null(self, monkeypatch):
+        # A cap of 12 columns at 8 rows: the 14-column block falls back to
+        # per-chunk permutations, in two chunks of trials.
+        monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * 12 * 8)
+        params = HornParams(seed=4)
+        X, _ = block_factor_data(8, seed=2)
+        table = _PermutationTable(params, *X.shape)
+        # m = 1, m < n, m > n (Gram path), above the cap, then narrower again
+        for m in (1, 6, 11, 14, 3):
+            x = _standardize(X[:, :m])
+            assert np.array_equal(
+                _null_eigvals(x, params, table), _null_eigvals(x, params)
+            )
+            assert horn_components(x, params, perms=table) == horn_components(
+                x, params
+            )
+        assert table.columns(13) is None
+        assert table._perms.shape == (20, 12, 8)
+        assert table._filled == 11
+
+    def test_concurrent_growth_keeps_every_column(self):
+        params = HornParams(n_repeats=3, seed=9)
+        table = _PermutationTable(params, 7, 24)
+        expected = _permutations(9, range(3), 24, 7)
+        widths = np.random.default_rng(0).permutation(np.arange(1, 25))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(table.columns, int(m)) for m in widths]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for m, perms in zip(widths, got):
+            assert np.array_equal(perms, expected[:, :m])
+        assert np.array_equal(table._perms, expected)
+
+    def test_mismatched_table_rejected(self):
+        x = rank1_snr_block(30, 4, seed=0)
+        for table in (
+            _PermutationTable(HornParams(seed=1), 30, 4),
+            _PermutationTable(HornParams(n_repeats=5), 30, 4),
+            _PermutationTable(HornParams(), 31, 4),
+        ):
+            with pytest.raises(ValueError, match="does not match"):
+                horn_components(x, HornParams(), perms=table)
+
+    def test_table_never_exceeds_its_cap(self):
+        params = HornParams(n_repeats=2)
+        n = 20000
+        cap_cols = _CHUNK_ENTRIES // (params.n_repeats * n)
+        x = np.random.default_rng(0).standard_normal((n, cap_cols + 1))
+        table = _PermutationTable(params, *x.shape)
+        assert table._perms.nbytes <= 4 * _CHUNK_ENTRIES
+        # The table is a mapping of its own, outside the traced heap, and
+        # the Horn calls that fill it keep nothing else.
+        tracemalloc.start()
+        try:
+            for m in (cap_cols // 2, cap_cols, cap_cols + 1):
+                horn_components(x[:, :m], params, perms=table)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table._perms.shape[1] == table._filled == cap_cols
+        assert retained < 1 << 16
+
+
+@pytest.mark.parametrize("n, m", [(40, 6), (6, 40), (7, 7)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_stacked_eigvals_equal_per_matrix_calls(n, m, layout):
+    x = np.random.default_rng(n * m).standard_normal((5, n, m))
+    if layout == "F":  # the layout of the permuted copies in _null_eigvals
+        x = np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
+    per_matrix = np.stack([_sorted_eigvals(xi) for xi in x])
+    assert np.array_equal(_sorted_eigvals(x), per_matrix)

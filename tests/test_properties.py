@@ -66,3 +66,23 @@ def test_save_load_transform_round_trip(case, batch_seed):
     before, after = transform(model, batch), transform(loaded, batch)
     assert np.array_equal(before.values, after.values)
     assert before.column_provenance == after.column_provenance
+
+
+@PROPERTY_SETTINGS
+@given(fit_cases(), st.lists(st.integers(-6, 6), min_size=12, max_size=12))
+@example((WIDE_WITH_CONSTANTS, None), [3, -6] * 6)
+def test_power_of_two_column_scales_change_only_the_scaler(case, exps):
+    # Scaling by 2**e is exact, so standardized data and everything fitted
+    # on it keep their bits; only the scaler's statistics move.
+    X, n_clusters = case
+    scale = np.ldexp(1.0, exps[: X.shape[1]])
+    # Near-constant columns keep their scale: theirs could cross VARIANCE_EPS.
+    scale[X.std(axis=0) <= 1e-6] = 1.0
+    base = fit(X, n_clusters, n_threads=1)
+    scaled = fit(X * scale, n_clusters, n_threads=1)
+    assert np.array_equal(base.assignment.labels, scaled.assignment.labels)
+    assert [(c.entries, c.achieved_evr) for c in base.components] == [
+        (c.entries, c.achieved_evr) for c in scaled.components
+    ]
+    assert np.array_equal(base.scaler.means * scale, scaled.scaler.means)
+    assert np.array_equal(base.scaler.stds * scale, scaled.scaler.stds)
