@@ -22,22 +22,33 @@ from .horn import HornParams
 from .pipeline import fit, load_model, save_model, transform
 
 
-def _env_int(name, fallback):
-    value = os.environ.get(name)
-    return int(value) if value else fallback
+def _thread_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _add_common(parser):
+def _env_default(parser, name, convert, fallback):
+    """``convert($name)``, or ``fallback`` if the variable is unset or empty."""
+    text = os.environ.get(name)
+    try:
+        return convert(text) if text else fallback
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(f"invalid ${name}={text!r}: {exc}")
+
+
+def _add_common(parser, seed, threads):
     parser.add_argument(
         "--seed",
         type=int,
-        default=_env_int("SPARCA_SEED", 0),
+        default=seed,
         help="base random seed (default: $SPARCA_SEED or 0)",
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=_env_int("SPARCA_THREADS", os.cpu_count() or 1),
+        type=_thread_count,
+        default=threads,
         help="worker thread cap (default: $SPARCA_THREADS or core count)",
     )
 
@@ -249,31 +260,30 @@ def build_parser() -> argparse.ArgumentParser:
         "agglomeration, per-cluster PCA, and orthogonal matching pursuit.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    seed = _env_default(parser, "SPARCA_SEED", int, 0)
+    threads = _env_default(
+        parser, "SPARCA_THREADS", _thread_count, os.cpu_count() or 1
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model from a CSV matrix")
     _add_input(p)
-    count = p.add_mutually_exclusive_group()
-    count.add_argument("--clusters", type=int, default=None,
-                       help="cluster count; omit (or use --auto) to select it "
-                            "from the cluster-feature curve over the default "
-                            "grid, on the Ward tree the fit itself uses")
-    count.add_argument("--auto", action="store_true",
-                       help="select the cluster count from the "
-                            "cluster-feature curve (same as omitting "
-                            "--clusters)")
+    p.add_argument("--clusters", type=int, default=None,
+                   help="cluster count; omit it to select the count from the "
+                        "cluster-feature curve over the default grid, on the "
+                        "Ward tree the fit itself uses")
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")
     _horn_args(p)
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("transform", help="apply a fitted model to a CSV matrix")
     _add_input(p)
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="reduced CSV output path")
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("cf-curve", help="trace the cluster-feature curve")
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing-window", type=int, default=3)
     p.add_argument("--out", required=True, help="curve CSV output path")
     _horn_args(p)
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_cf_curve)
 
     p = sub.add_parser("profile", help="measure fit runtime scaling")
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature-axis grid (samples fixed at 50)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="timing CSV output path")
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the emitted CSV artifacts")
     _horn_args(p)
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic low-rank matrix")
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True,
                    help="target effective rank")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_common(p)
+    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparca.cfcurve
+import sparca.cli
 import sparca.evalkit
 from sparca.cfcurve import default_grid
 from sparca.cli import main
@@ -48,7 +49,7 @@ class TestFit:
     def test_auto_selection(self, block_csv, tmp_path):
         out = tmp_path / "model.json"
         code = main([
-            "fit", "--input", str(block_csv), "--auto",
+            "fit", "--input", str(block_csv),
             "--out", str(out), "--seed", "0",
         ])
         assert code == 0
@@ -94,14 +95,6 @@ class TestFit:
             capsys.readouterr().out
         )
 
-    def test_auto_excludes_clusters(self, block_csv, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "fit", "--input", str(block_csv), "--auto", "--clusters", "5",
-                "--out", str(tmp_path / "m.json"),
-            ])
-        assert excinfo.value.code == 2
-
     def test_missing_input(self, tmp_path, capsys):
         code = main([
             "fit", "--input", str(tmp_path / "nope.csv"), "--clusters", "2",
@@ -114,6 +107,54 @@ class TestFit:
         with pytest.raises(SystemExit) as excinfo:
             main(["fit", "--input", str(block_csv), "--bogus"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_rejected(
+        self, block_csv, tmp_path, capsys, threads
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fit", "--input", str(block_csv), "--clusters", "2",
+                "--out", str(tmp_path / "m.json"), "--threads", threads,
+            ])
+        assert excinfo.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
+class TestEnvironmentDefaults:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("SPARCA_SEED", "abc"), ("SPARCA_THREADS", "1.5"),
+         ("SPARCA_THREADS", "0")],
+    )
+    def test_bad_value_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "synth", "--samples", "5", "--features", "4", "--rank", "2",
+                "--out", str(tmp_path / "s.csv"),
+            ])
+        assert excinfo.value.code == 2
+        assert f"invalid ${name}={value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_valid_values_become_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPARCA_SEED", "7")
+        monkeypatch.setenv("SPARCA_THREADS", "3")
+        seen = {}
+
+        def record(args):
+            seen.update(seed=args.seed, threads=args.threads)
+            return 0
+
+        monkeypatch.setattr(sparca.cli, "cmd_synth", record)
+        assert main([
+            "synth", "--samples", "5", "--features", "4", "--rank", "2",
+            "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert seen == {"seed": 7, "threads": 3}
 
 
 class TestTransform:
@@ -225,6 +266,14 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "error: line search" in capsys.readouterr().err
+
+    def test_zero_cv_folds_is_reported(self, labeled_csv, tmp_path, capsys):
+        code = main([
+            "eval", "--input", str(labeled_csv), "--clusters", "4",
+            "--cv-folds", "0", "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        assert "error: n_folds must be between 2" in capsys.readouterr().err
 
     def test_requires_input(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+import sparca
 from sparca.evalkit import (
     DEFAULT_LAMBDA_GRID,
+    KKT_TOL,
     L1LogRegModel,
     PcaBaseline,
     SynthSpec,
@@ -50,6 +58,34 @@ class TestGenSynthetic:
             gen_synthetic(SynthSpec(10, 20, 11, seed=0))
         with pytest.raises(ValueError, match="infeasible"):
             gen_synthetic(SynthSpec(10, 20, 0, seed=0))
+
+
+def _ten_class_problem():
+    """400 samples of 10 overlapping Gaussian classes in 30 features."""
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((10, 30))
+    y = np.arange(400) % 10
+    return centers[y] + 1.5 * rng.standard_normal((400, 30)), y
+
+
+def _kkt_residuals(model, X, y):
+    """Optimality violations: |G + lam sign(w)| on nonzero weights,
+    |G| - lam (floored at 0) on zero weights, |intercept gradient|."""
+    G, gb = smooth_gradient(model, X, y)
+    W, lam = model.weights, model.lam
+    weights = np.where(
+        W != 0.0, np.abs(G + lam * np.sign(W)), np.maximum(np.abs(G) - lam, 0.0)
+    )
+    return np.concatenate([weights.ravel(), np.abs(gb)])
+
+
+def _objective(model, X, y):
+    n = X.shape[0]
+    Y = np.zeros((n, model.n_classes))
+    Y[np.arange(n), y] = 1.0
+    Z = X @ model.weights.T + model.intercepts
+    loss = (np.logaddexp(0.0, Z) - Y * Z).mean(axis=0).sum()
+    return loss + model.lam * np.abs(model.weights).sum()
 
 
 class TestL1LogReg:
@@ -129,6 +165,43 @@ class TestL1LogReg:
                 assert (current <= previous + 1e-12).all()
             previous = current
 
+    @pytest.mark.parametrize("lam", [0.1, 0.01, 0.001])
+    def test_stops_within_kkt_tol(self, lam):
+        X, y = _ten_class_problem()
+        model = l1_logreg_fit(X, y, lam)
+        assert _kkt_residuals(model, X, y).max() <= KKT_TOL
+
+    @pytest.mark.parametrize("lam", [0.01, 0.001])
+    def test_warm_start_reaches_cold_optimum(self, lam):
+        X, y = _ten_class_problem()
+        cold = l1_logreg_fit(X, y, lam)
+        warm = l1_logreg_fit(X, y, lam, init=l1_logreg_fit(X, y, 0.1))
+        assert abs(_objective(warm, X, y) - _objective(cold, X, y)) <= 1e-8
+        assert np.array_equal(warm.weights != 0.0, cold.weights != 0.0)
+
+    def test_abnormal_line_search_raises(self, monkeypatch):
+        def abnormal(fun, x0, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                x=x0, status=2, message="ABNORMAL: line search failed"
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize", abnormal)
+        X, y = _ten_class_problem()
+        with pytest.raises(RuntimeError, match="ABNORMAL"):
+            l1_logreg_fit(X, y, 0.1)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        code = (
+            "import sys, sparca, sparca.evalkit; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sparca.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_predictions_permute_with_rows(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 4))
@@ -192,6 +265,23 @@ class TestSplitsAndSelection:
         assert best in grid
         assert means.shape == (4,)
         assert means.max() > 0.8
+
+    @pytest.mark.parametrize(
+        "n_folds, lambdas, message",
+        [
+            (0, [0.1], "n_folds must be between 2 and the largest class"),
+            (1, [0.1], "n_folds must be between 2 and the largest class"),
+            (3, [], "grid is empty"),
+            (31, [0.1], "largest class size 30, got 31"),
+        ],
+        ids=["zero-folds", "one-fold", "empty-grid", "folds-exceed-largest-class"],
+    )
+    def test_select_lambda_rejects_bad_settings(self, n_folds, lambdas, message):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((60, 4))
+        y = np.arange(60) % 2
+        with pytest.raises(ValueError, match=message):
+            select_lambda(X, y, lambdas=lambdas, n_folds=n_folds, seed=0)
 
 
 @pytest.fixture(scope="module")
