@@ -121,6 +121,9 @@ class FeatureTree:
     The tree also owns the Horn null's permutation table (capped at about
     16 MB, see ``horn._PermutationTable``): every block has the tree's row
     count, so the permutations are sorted once per tree, not once per node.
+    Their hashed sort keys never tie, so that sort need not be stable. Each
+    node then gathers its own ``(trial, column, row)`` permuted copies of
+    its centred block.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """

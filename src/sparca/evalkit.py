@@ -132,9 +132,9 @@ def l1_logreg_fit(
     unless a weight part lies strictly inside (0, KKT_TOL). ``max_iter`` caps
     its iterations; reaching it returns the current iterate. ``init``
     warm-starts the weights. An abnormal line-search exit raises
-    ``RuntimeError``. ``scipy.optimize`` is imported here, not at module
-    level, because loading it adds about 14 MB of resident memory to every
-    process that imports sparca.
+    ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are imported here,
+    not at module level, because loading them adds about 14 MB of resident
+    memory to every process that imports sparca.
     """
     X = validate_matrix(X)
     y = np.asarray(y, dtype=np.int64).ravel()
@@ -148,7 +148,7 @@ def l1_logreg_fit(
     if n_classes < 2 or (counts == 0).any():
         raise ValueError("need >= 2 classes, each with >= 1 sample")
 
-    Y = np.zeros((n, n_classes))
+    Y = np.zeros((n, n_classes), order="F")
     Y[np.arange(n), y] = 1.0
     size = p * n_classes
     start = np.zeros(2 * size + n_classes)  # [W+ (p*K), W- (p*K), b (K)]
@@ -160,17 +160,24 @@ def l1_logreg_fit(
     def unsplit(v):
         return (v[:size] - v[size:-n_classes]).reshape(p, n_classes)
 
+    from scipy.linalg.blas import dgemm
+    from scipy.optimize import Bounds, minimize
+
+    # The products go through scipy's BLAS, which L-BFGS-B also calls:
+    # numpy's matmul uses a second OpenBLAS whose thread pool would contend
+    # with scipy's. Fortran-ordered operands pass to dgemm without a copy;
+    # XT is a view when X is C-ordered.
+    XT = np.asfortranarray(X.T)
+
     def objective(v):
-        Z = X @ unsplit(v) + v[-n_classes:]
+        Z = dgemm(1.0, XT, unsplit(v), trans_a=True) + v[-n_classes:]
         R = expit(Z) - Y
-        G = X.T @ R / n
+        G = dgemm(1.0 / n, XT, R)
         loss = (np.logaddexp(0.0, Z) - Y * Z).sum() / n
         grad = np.concatenate(
             [(G + lam).ravel(), (lam - G).ravel(), R.mean(axis=0)]
         )
         return loss + lam * v[:-n_classes].sum(), grad
-
-    from scipy.optimize import Bounds, minimize
 
     lower = np.concatenate([np.zeros(2 * size), np.full(n_classes, -np.inf)])
     result = minimize(

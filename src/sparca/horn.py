@@ -10,6 +10,14 @@ the same permutation, so one ``_PermutationTable`` serves every block of a
 feature tree. It also means that reordering a block's columns changes which
 stream each column draws: Horn counts are equivariant under column
 permutations only in distribution, not draw for draw.
+
+A permutation is the argsort of its stream's hashed keys. The hash is a
+bijection of distinct packed (trial, column, row) values, so no two keys of a
+stream tie and any correct sort, stable or not, gives the same permutation.
+The block is centred once; its permuted copies, which keep every column's
+mean, are gathered as ``(trial, column, row)`` arrays, one row per variable,
+and each trial's covariance is one product of such an array with its
+transpose.
 """
 
 from __future__ import annotations
@@ -61,7 +69,10 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
     permutations for ``n_cols = c`` are the first ``c`` columns of those for
     any wider block. Trial, column and row are packed into 20, 22 and 22
     bits; larger values would give two streams the same keys, so they are
-    rejected.
+    rejected. Within a stream the packed values differ in the row bits and
+    the SplitMix64 finalizer is a bijection on uint64, so its keys are
+    distinct: the sort need not be stable, and numpy's default sort gives
+    the permutation a stable one would, several times faster.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
     if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
@@ -74,7 +85,7 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
     packed = (t << np.uint64(44)) | (c << np.uint64(22)) | i
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
     keys = _mix64(packed ^ seed_key)
-    return np.argsort(keys, axis=-1, kind="stable")
+    return np.argsort(keys, axis=-1)
 
 
 class _PermutationTable:
@@ -121,41 +132,49 @@ class _PermutationTable:
         return self._perms[:, :m]
 
 
-def _sorted_eigvals(x):
-    """Descending eigenvalues of the population covariance of ``x``.
+def _sorted_eigvals(xt):
+    """Descending eigenvalues of ``xt @ xt.T / n`` for ``xt`` of shape
+    ``(..., c, n)``: the population covariance of ``c`` centred variables.
 
-    ``x`` has shape ``(..., n, m)``; stacked matrices go through one
-    ``eigvalsh`` call. Works through the smaller of the feature-space
-    covariance and the sample-space Gram matrix; trailing ranks beyond the
-    data rank are zero.
+    Stacked matrices go through one ``eigvalsh`` call. Works through the
+    smaller of the ``c x c`` covariance and the ``n x n`` Gram matrix;
+    trailing ranks beyond the data rank are zero.
     """
-    n, m = x.shape[-2:]
-    xc = x - x.mean(axis=-2, keepdims=True)
-    xt = xc.swapaxes(-1, -2)
-    if m <= n:
-        vals = np.linalg.eigvalsh(xt @ xc / n)[..., ::-1]
+    c, n = xt.shape[-2:]
+    x = xt.swapaxes(-1, -2)
+    if c <= n:
+        vals = np.linalg.eigvalsh(xt @ x / n)[..., ::-1]
     else:
-        w = np.linalg.eigvalsh(xc @ xt / n)
-        zeros = np.zeros(w.shape[:-1] + (m - n,))
+        w = np.linalg.eigvalsh(x @ xt / n)
+        zeros = np.zeros(w.shape[:-1] + (c - n,))
         vals = np.concatenate([w[..., ::-1], zeros], axis=-1)
     return np.maximum(vals, 0.0)
 
 
 def _null_eigvals(x, params: HornParams, table=None):
+    """Null spectra, shape ``(n_repeats, m)``, of a centred block ``x`` of
+    shape ``(n, m)``.
+
+    Permuting a column keeps its mean, so the permuted copies of a centred
+    block are centred too. The copies are gathered one column at a time,
+    ``permuted[t, j] = x[p[t, j], j]``, into a C-contiguous ``(t, m, n)``
+    array whose matrices are the transposed copies.
+    """
     n, m = x.shape
+    xt = np.ascontiguousarray(x.T)
     null = np.empty((params.n_repeats, m))
     # Chunk trials so the permuted copies stay within a modest memory budget.
     chunk = max(1, _CHUNK_ENTRIES // max(n * m, 1))
     perms = None if table is None else table.columns(m)
-    cols = np.arange(m)
     for start in range(0, params.n_repeats, chunk):
         stop = min(start + chunk, params.n_repeats)
         if perms is None:
             p = _permutations(params.seed, range(start, stop), m, n)
         else:
             p = perms[start:stop]
-        # permuted[t, :, c] = x[p[t, c, :], c]
-        permuted = x[p.transpose(0, 2, 1), cols]
+        permuted = np.empty((stop - start, m, n))
+        for j in range(m):
+            np.take(xt[j], p[:, j], out=permuted[:, j])
         null[start:stop] = _sorted_eigvals(permuted)
     return null
 
@@ -202,8 +221,9 @@ def horn_components(
         # Permuting a single column never changes its variance, so the
         # observed eigenvalue can never exceed the null; the floor applies.
         return 1
-    observed = _sorted_eigvals(x)
-    null = _null_eigvals(x, params, perms)
+    xc = x - x.mean(axis=0)
+    observed = _sorted_eigvals(xc.T)
+    null = _null_eigvals(xc, params, perms)
     thresholds = np.percentile(null, params.percentile, axis=0)
     exceeds = observed > thresholds
     # Count the leading run: once a rank fails to beat its null quantile,

@@ -2,8 +2,9 @@
 
 These deliberately take the slow, direct route: Ward merges are chosen by
 brute-force sum-of-squares increase over all cluster pairs, cuts replay the
-kept merges with Python sets, and the matching pursuit path re-solves every
-least-squares fit from scratch with ``np.linalg.lstsq``.
+kept merges with Python sets, the matching pursuit path re-solves every
+least-squares fit from scratch with ``np.linalg.lstsq``, and Horn's null
+hashes every sort key with Python integers and permutes one column at a time.
 """
 
 import numpy as np
@@ -110,3 +111,45 @@ def minimal_support_size(D, target, variance_threshold, max_size=None):
             if 1.0 - float(residual @ residual) / denom >= variance_threshold:
                 return size
     return limit
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z):
+    """SplitMix64 finalizer on one Python integer, wrapping mod 2**64."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def horn_permutation(seed, trial, col, n_rows):
+    """Row permutation of one (trial, column) stream of Horn's null.
+
+    The stable argsort of the keys ``splitmix64(packed ^ splitmix64(seed))``
+    with ``packed = trial << 44 | col << 22 | row``.
+    """
+    seed_key = splitmix64(seed)
+    keys = [
+        splitmix64(((trial << 44) | (col << 22) | row) ^ seed_key)
+        for row in range(n_rows)
+    ]
+    return np.argsort(np.array(keys, dtype=np.uint64), kind="stable")
+
+
+def horn_null_eigvals(x, seed, n_repeats):
+    """Descending null spectra, shape ``(n_repeats, m)``, of block ``x``.
+
+    Trial ``t`` permutes each column's rows by its own stream, then takes
+    ``eigvalsh`` of the permuted copy's population covariance.
+    """
+    n, m = x.shape
+    null = np.empty((n_repeats, m))
+    for t in range(n_repeats):
+        permuted = np.column_stack(
+            [x[horn_permutation(seed, t, c, n), c] for c in range(m)]
+        )
+        cov = np.cov(permuted, rowvar=False, bias=True)
+        null[t] = np.linalg.eigvalsh(cov)[::-1]
+    return null

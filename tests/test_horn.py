@@ -17,10 +17,16 @@ from sparca.horn import (
 )
 
 from conftest import block_factor_data, rank1_snr_block
+from oracles import horn_null_eigvals, horn_permutation
 
 
 def _standardize(X):
     return (X - X.mean(axis=0)) / X.std(axis=0)
+
+
+def _cov_eigvals(x):
+    """Descending population-covariance eigenvalues of ``x`` (n, m)."""
+    return _sorted_eigvals((x - x.mean(axis=0)).T)
 
 
 def _mc_null_quantiles(x, trials=1000, percentile=95.0, seed=999):
@@ -30,7 +36,7 @@ def _mc_null_quantiles(x, trials=1000, percentile=95.0, seed=999):
     null = np.empty((trials, m))
     for t in range(trials):
         xp = np.column_stack([x[rng.permutation(n), c] for c in range(m)])
-        null[t] = _sorted_eigvals(xp)
+        null[t] = _cov_eigvals(xp)
     return np.percentile(null, percentile, axis=0)
 
 
@@ -43,7 +49,7 @@ class TestHornComponents:
         x = rank1_snr_block(200, 5, snr=5.0, seed=0)
         # oracle: the top observed eigenvalue clears the 1000-trial null at
         # the 95th percentile and the second does not
-        observed = _sorted_eigvals(x)
+        observed = _cov_eigvals(x)
         q95 = _mc_null_quantiles(x)
         assert observed[0] > q95[0]
         assert observed[1] <= q95[1]
@@ -52,7 +58,7 @@ class TestHornComponents:
     def test_pure_noise_floor(self):
         rng = np.random.default_rng(42)
         x = _standardize(rng.standard_normal((200, 10)))
-        observed = _sorted_eigvals(x)
+        observed = _cov_eigvals(x)
         q95 = _mc_null_quantiles(x)
         assert observed[0] <= q95[0]  # raw count 0; floor applies
         assert horn_components(x, HornParams(seed=0)) == 1
@@ -200,11 +206,51 @@ class TestPermutationTable:
         assert retained < 1 << 16
 
 
+class TestNullOracle:
+    def test_permutations_equal_stable_argsort_of_the_keys(self):
+        # Keys within a row are distinct, so any correct sort agrees with
+        # the stable one; 1000 rows take numpy's large-array sort paths.
+        for trials, n_cols, n_rows in [(range(4), 5, 23), ([0, 9], 2, 1000)]:
+            perms = _permutations(7, trials, n_cols, n_rows)
+            for i, t in enumerate(trials):
+                for c in range(n_cols):
+                    expected = horn_permutation(7, t, c, n_rows)
+                    assert np.array_equal(perms[i, c], expected)
+
+    @pytest.mark.parametrize("n, m", [(30, 6), (9, 14)], ids=["cov", "gram"])
+    def test_null_eigvals_match_oracle(self, n, m):
+        params = HornParams(seed=3)
+        x = _standardize(block_factor_data(n, seed=1)[0][:, :m])
+        expected = horn_null_eigvals(x, params.seed, params.n_repeats)
+        self._assert_close(_null_eigvals(x, params), expected)
+
+    def test_block_wider_than_the_table_matches_oracle(self, monkeypatch):
+        # A cap of 12 columns at 8 rows: the 14-column block permutes per
+        # chunk of trials, outside the table.
+        monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * 12 * 8)
+        params = HornParams(seed=4)
+        x = _standardize(block_factor_data(8, seed=2)[0][:, :14])
+        table = _PermutationTable(params, *x.shape)
+        assert table.columns(14) is None
+        expected = horn_null_eigvals(x, params.seed, params.n_repeats)
+        self._assert_close(_null_eigvals(x, params, table), expected)
+
+    @staticmethod
+    def _assert_close(got, expected):
+        # Ranks beyond the data rank are exact zeros here and rounding
+        # noise in the oracle, so they are judged against the top value.
+        np.testing.assert_allclose(
+            got, expected, rtol=1e-10, atol=1e-10 * expected.max()
+        )
+
+
 @pytest.mark.parametrize("n, m", [(40, 6), (6, 40), (7, 7)])
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_stacked_eigvals_equal_per_matrix_calls(n, m, layout):
-    x = np.random.default_rng(n * m).standard_normal((5, n, m))
-    if layout == "F":  # the layout of the permuted copies in _null_eigvals
+    x = np.random.default_rng(n * m).standard_normal((5, m, n))
+    # "C": the null's (t, m, n) copies. "F": transposed views of C-ordered
+    # (n, m) blocks, the layout of the observed side.
+    if layout == "F":
         x = np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
     per_matrix = np.stack([_sorted_eigvals(xi) for xi in x])
     assert np.array_equal(_sorted_eigvals(x), per_matrix)

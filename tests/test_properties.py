@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from sparca.horn import HornParams
+from sparca.horn import HornParams, horn_components
 from sparca.pipeline import fit, load_model, save_model, transform
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -86,3 +86,27 @@ def test_power_of_two_column_scales_change_only_the_scaler(case, exps):
     ]
     assert np.array_equal(base.scaler.means * scale, scaled.scaler.means)
     assert np.array_equal(base.scaler.stds * scale, scaled.scaler.stds)
+
+
+@st.composite
+def horn_blocks(draw):
+    """A standardized block of 1-3 latent factors plus noise, and one
+    shift per column."""
+    n = draw(st.integers(10, 60))
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 3))
+    x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+    x += rng.standard_normal((n, m))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    shifts = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
+    return x, np.array(shifts)
+
+
+@PROPERTY_SETTINGS
+@given(horn_blocks())
+def test_column_shifts_leave_the_horn_count_unchanged(case):
+    # The block is centred once, before its permuted copies are gathered.
+    x, shifts = case
+    params = HornParams(seed=2)
+    assert horn_components(x + shifts, params) == horn_components(x, params)
