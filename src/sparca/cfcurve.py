@@ -4,7 +4,9 @@ Sweeping the requested cluster count over a grid and summing the per-cluster
 component counts traces a characteristic curve: rapid growth, a near-flat
 plateau, then a unit-slope tail where every extra cluster contributes exactly
 one feature. The recommended cluster count sits at the minimum of the
-smoothed first derivative, i.e. the start of the plateau.
+first derivative smoothed over ``SMOOTHING_WINDOW`` grid points, i.e. the
+start of the plateau. ``cf_curve``, ``FeatureTree.curve`` and ``fit`` with
+automatic selection all apply this one rule.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .data import (
     thread_map,
 )
 from .horn import HornParams, _PermutationTable, horn_components
+
+# Grid points the derivative is averaged over before its minimum is taken.
+SMOOTHING_WINDOW = 3
+# Points of the default geometric grid of cluster counts.
+GRID_POINTS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +51,7 @@ class CfCurve:
         ]
 
     @classmethod
-    def from_points(cls, n_clusters, n_features, smoothing_window: int = 3):
+    def from_points(cls, n_clusters, n_features):
         ks = np.asarray(n_clusters, dtype=np.int64)
         fs = np.asarray(n_features, dtype=np.int64)
         if ks.size != fs.size or ks.size < 1:
@@ -52,15 +59,10 @@ class CfCurve:
         if (np.diff(ks) <= 0).any():
             raise ValueError("cluster grid must be strictly increasing")
         deriv = _derivative(ks, fs)
-        curve = cls(
-            n_clusters=ks, n_features=fs, derivative=deriv, selected=int(ks[0])
+        selected = _plateau_start(ks, deriv) if ks.size >= 3 else int(ks[0])
+        return cls(
+            n_clusters=ks, n_features=fs, derivative=deriv, selected=selected
         )
-        if ks.size >= 3:
-            selected = select_clusters(curve, smoothing_window)
-            curve = cls(
-                n_clusters=ks, n_features=fs, derivative=deriv, selected=selected
-            )
-        return curve
 
 
 def _derivative(ks, fs):
@@ -76,21 +78,20 @@ def _derivative(ks, fs):
     return deriv
 
 
-def _smooth(values, window: int):
-    if window <= 1:
-        return values.copy()
-    # Moving average; near the boundaries the window keeps its full width
-    # and is anchored inside the array instead of shrinking.
-    width = min(window, values.size)
-    half = window // 2
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = min(max(i - half, 0), values.size - width)
-        out[i] = values[lo : lo + width].mean()
-    return out
+def _plateau_start(ks, deriv):
+    # Moving average of the derivative; near the boundaries the window
+    # keeps its full width and is anchored inside the array instead of
+    # shrinking. np.argmin breaks ties towards the smallest cluster count.
+    width = min(SMOOTHING_WINDOW, deriv.size)
+    half = SMOOTHING_WINDOW // 2
+    smoothed = np.empty_like(deriv)
+    for i in range(deriv.size):
+        lo = min(max(i - half, 0), deriv.size - width)
+        smoothed[i] = deriv[lo : lo + width].mean()
+    return int(ks[int(np.argmin(smoothed))])
 
 
-def select_clusters(curve: CfCurve, smoothing_window: int = 3) -> int:
+def select_clusters(curve: CfCurve) -> int:
     """Grid value minimizing the smoothed derivative (ties: smallest count).
 
     This locates the smallest cluster count that reaches the plateau of the
@@ -98,16 +99,16 @@ def select_clusters(curve: CfCurve, smoothing_window: int = 3) -> int:
     """
     if curve.n_clusters.size < 3:
         raise ValueError("need at least 3 grid points to select")
-    smoothed = _smooth(curve.derivative, smoothing_window)
-    return int(curve.n_clusters[int(np.argmin(smoothed))])
+    return _plateau_start(curve.n_clusters, curve.derivative)
 
 
-def default_grid(n_features: int, n_points: int = 40):
-    """Geometric grid from 2 to ``n_features`` (deduplicated, endpoint kept)."""
+def default_grid(n_features: int):
+    """Geometric grid of ``GRID_POINTS`` points from 2 to ``n_features``
+    (deduplicated, endpoint kept)."""
     if n_features < 2:
         return np.array([1], dtype=np.int64)
     grid = np.unique(
-        np.rint(np.geomspace(2, n_features, n_points)).astype(np.int64)
+        np.rint(np.geomspace(2, n_features, GRID_POINTS)).astype(np.int64)
     )
     grid[-1] = n_features
     return np.unique(grid)
@@ -118,23 +119,24 @@ class FeatureTree:
 
     ``cf_curve`` and ``pipeline.fit`` both cut one tree, so a fit that
     selects its own cluster count reuses the curve's tree and Horn counts.
-    The tree also owns the Horn null's permutation table (capped at about
-    16 MB, see ``horn._PermutationTable``): every block has the tree's row
-    count, so the permutations are sorted once per tree, not once per node.
-    Their hashed sort keys never tie, so that sort need not be stable. Each
-    node then gathers its own ``(trial, column, row)`` permuted copies of
-    its centred block.
+    Every block has the tree's row count, so each call to ``cuts`` sorts
+    the Horn null's permutations once, into a table sized to its widest new
+    node and capped at about 16 MB (see ``horn._PermutationTable``), not
+    once per node. Their hashed sort keys never tie, so that sort need not
+    be stable. Each node then gathers its own ``(trial, column, row)``
+    permuted copies of its centred block.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """
 
     def __init__(self, X, horn_params=None, n_threads=None):
+        if n_threads is not None and n_threads < 1:
+            raise ValueError(f"n_threads must be at least 1, got {n_threads}")
         self.horn_params = horn_params or HornParams()
         self.n_threads = n_threads
         self.scaler = standardize_fit(X)
         self.Xs = standardize_apply(self.scaler, X)
         self._count_of_node = {}
-        self._perms = _PermutationTable(self.horn_params, *self.Xs.shape)
 
     @cached_property
     def linkage(self) -> Linkage:
@@ -150,7 +152,9 @@ class FeatureTree:
 
         ``counts[i]`` is the Horn component count of ``groups[i]``. Cuts are
         nested, so clusters recur across cuts: Horn runs once per dendrogram
-        node not seen before, in first-seen order.
+        node not seen before, in first-seen order. Those nodes share one
+        permutation table, built here before any worker starts and dropped
+        on return.
         """
         cuts = [_cut_groups(self.linkage, int(k)) for k in ks]
         cols_of_new = {}
@@ -158,9 +162,11 @@ class FeatureTree:
             for node, cols in zip(node_ids, groups):
                 if node not in self._count_of_node:
                     cols_of_new.setdefault(node, cols)
+        widest = max(map(len, cols_of_new.values()), default=0)
+        table = _PermutationTable(self.horn_params, self.Xs.shape[0], widest)
         counts = thread_map(
             lambda cols: horn_components(
-                self.Xs[:, cols], self.horn_params, perms=self._perms
+                self.Xs[:, cols], self.horn_params, perms=table
             ),
             cols_of_new.values(),
             self.n_threads,
@@ -171,7 +177,7 @@ class FeatureTree:
             for node_ids, groups in cuts
         ]
 
-    def curve(self, grid=None, smoothing_window: int = 3) -> CfCurve:
+    def curve(self, grid=None) -> CfCurve:
         """The cf-curve over ``grid`` (default: ``default_grid``)."""
         m = self.scaler.n_kept
         grid = default_grid(m) if grid is None else np.asarray(grid, np.int64)
@@ -182,14 +188,13 @@ class FeatureTree:
         if grid[0] < 1 or grid[-1] > m:
             raise ValueError(f"grid values must lie in [1, {m}]")
         counts = [sum(counts) for _, counts in self.cuts(grid)]
-        return CfCurve.from_points(grid, counts, smoothing_window)
+        return CfCurve.from_points(grid, counts)
 
 
 def cf_curve(
     X,
     grid=None,
     horn_params: HornParams | None = None,
-    smoothing_window: int = 3,
     n_threads: int | None = None,
 ) -> CfCurve:
     """Trace the cluster-feature curve over a grid of cluster counts.
@@ -199,4 +204,4 @@ def cf_curve(
     per-cluster Horn counts, each computed once per distinct dendrogram node.
     ``fit`` with ``n_clusters=None`` selects from this same curve.
     """
-    return FeatureTree(X, horn_params, n_threads).curve(grid, smoothing_window)
+    return FeatureTree(X, horn_params, n_threads).curve(grid)

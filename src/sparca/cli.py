@@ -131,7 +131,6 @@ def cmd_cf_curve(args) -> int:
         X,
         grid=grid,
         horn_params=_horn_params(args),
-        smoothing_window=args.smoothing_window,
         n_threads=args.threads,
     )
     rows = np.column_stack(
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--grid", default=None,
                    help="comma-separated cluster counts (default: geometric)")
-    p.add_argument("--smoothing-window", type=int, default=3)
     p.add_argument("--out", required=True, help="curve CSV output path")
     _horn_args(p)
     _add_common(p, seed, threads)

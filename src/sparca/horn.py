@@ -7,9 +7,9 @@ each column's rows independently shuffled, floored at one component.
 The shuffles are keyed by (seed, trial, block-local column, row), not by the
 original feature index. Column j of every block with the same row count draws
 the same permutation, so one ``_PermutationTable`` serves every block of a
-feature tree. It also means that reordering a block's columns changes which
-stream each column draws: Horn counts are equivariant under column
-permutations only in distribution, not draw for draw.
+cut of a feature tree. It also means that reordering a block's columns
+changes which stream each column draws: Horn counts are equivariant under
+column permutations only in distribution, not draw for draw.
 
 A permutation is the argsort of its stream's hashed keys. The hash is a
 bijection of distinct packed (trial, column, row) values, so no two keys of a
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,20 +58,19 @@ def _mix64(z):
 _CHUNK_ENTRIES = 4_000_000
 
 
-def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
+def _permutations(seed: int, trials, n_cols: int, n_rows: int):
     """Row permutations for every (trial, column) pair, shape (t, c, n).
 
-    Columns run over ``[first_col, n_cols)``. Each pair gets its own
-    counter-based stream: sort keys are SplitMix64 hashes of (seed, trial,
-    block-local column, row), so results do not depend on evaluation order
-    or thread scheduling, and the sort runs along rows only: the
-    permutations for ``n_cols = c`` are the first ``c`` columns of those for
-    any wider block. Trial, column and row are packed into 20, 22 and 22
-    bits; larger values would give two streams the same keys, so they are
-    rejected. Within a stream the packed values differ in the row bits and
-    the SplitMix64 finalizer is a bijection on uint64, so its keys are
-    distinct: the sort need not be stable, and numpy's default sort gives
-    the permutation a stable one would, several times faster.
+    Each pair gets its own counter-based stream: sort keys are SplitMix64
+    hashes of (seed, trial, block-local column, row), so results do not
+    depend on evaluation order or thread scheduling, and the sort runs along
+    rows only: the permutations for ``n_cols = c`` are the first ``c``
+    columns of those for any wider block. Trial, column and row are packed
+    into 20, 22 and 22 bits; larger values would give two streams the same
+    keys, so they are rejected. Within a stream the packed values differ in
+    the row bits and the SplitMix64 finalizer is a bijection on uint64, so
+    its keys are distinct: the sort need not be stable, and numpy's default
+    sort gives the permutation a stable one would, several times faster.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
     if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
@@ -80,7 +78,7 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
             "permutation streams need fewer than 2**22 rows, 2**22 columns "
             "and 2**20 trials"
         )
-    c = np.arange(first_col, n_cols, dtype=np.uint64).reshape(1, -1, 1)
+    c = np.arange(n_cols, dtype=np.uint64).reshape(1, -1, 1)
     i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
     packed = (t << np.uint64(44)) | (c << np.uint64(22)) | i
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
@@ -89,21 +87,21 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, first_col=0):
 
 
 class _PermutationTable:
-    """The null permutations of every block of one feature tree.
+    """The null permutations of the blocks of one cut of a feature tree.
 
-    ``_perms[:, :m]`` holds ``_permutations(seed, range(n_repeats), m,
-    n_rows)`` as int32 (``n_rows < 2**22``) for a block of ``m`` columns.
-    Columns are filled on demand under a lock, so threads share one table.
-    The table reserves ``4 * n_repeats * C * n_rows`` bytes for ``C =
-    min(n_cols, _CHUNK_ENTRIES // (n_repeats * n_rows))`` columns, at most
-    about 16 MB, and only filled columns become resident; a block wider
-    than ``C`` generates its permutations per chunk instead, which gives
-    the same permutations.
+    ``columns(m)`` is ``_permutations(seed, range(n_repeats), m, n_rows)``
+    as int32 (``n_rows < 2**22``) for a block of ``m`` columns. The table
+    holds ``C = min(n_cols, _CHUNK_ENTRIES // (n_repeats * n_rows))``
+    columns, at most about 16 MB; a block wider than ``C`` generates its
+    permutations per chunk instead, which gives the same permutations.
+    Every column is written in ``__init__`` and never again, so threads
+    share the table without a lock: they only read an array that was
+    complete before they started.
 
-    The reservation is an anonymous mapping of its own, not a block of the
-    allocator's heap: a long-lived table there kept the Horn temporaries
-    freed around it resident, about 20 MB more peak resident memory in
-    repeated cf-curve and fit jobs on 1000 x 96 inputs.
+    The table is an anonymous mapping of its own, not a block of the
+    allocator's heap: a table there kept the Horn temporaries freed around
+    it resident, about 20 MB more peak resident memory in repeated cf-curve
+    and fit jobs on 1000 x 96 inputs.
     """
 
     def __init__(self, params: HornParams, n_rows: int, n_cols: int):
@@ -115,21 +113,13 @@ class _PermutationTable:
         size = math.prod(shape)
         buffer = mmap.mmap(-1, 4 * max(size, 1))
         self._perms = np.frombuffer(buffer, np.int32, size).reshape(shape)
-        self._filled = 0
-        self._lock = threading.Lock()
+        self._perms[:] = _permutations(
+            self.seed, range(self.n_repeats), cols, n_rows
+        )
 
     def columns(self, m: int):
         """Permutations of columns ``[0, m)``, or ``None`` past the table."""
-        if m > self._perms.shape[1]:
-            return None
-        with self._lock:
-            if self._filled < m:
-                self._perms[:, self._filled : m] = _permutations(
-                    self.seed, range(self.n_repeats), m, self.n_rows,
-                    self._filled,
-                )
-                self._filled = m
-        return self._perms[:, :m]
+        return self._perms[:, :m] if m <= self._perms.shape[1] else None
 
 
 def _sorted_eigvals(xt):
@@ -195,9 +185,9 @@ def horn_components(
         Trial count, percentile, and seed; defaults are 20 trials at the
         95th percentile with seed 0.
     perms : _PermutationTable, optional
-        Shared null permutations for this seed, trial count and row count
-        (``FeatureTree`` passes its own); the count is the same with or
-        without it.
+        Null permutations for this seed, trial count and row count, shared
+        by the blocks of one cut (``FeatureTree.cuts`` builds one per call);
+        the count is the same with or without it.
 
     Returns
     -------

@@ -102,64 +102,50 @@ def omp_fit(
         raise ValueError("feature_indices length does not match dictionary")
 
     atom_norms = np.linalg.norm(D, axis=0)
-    usable = atom_norms > 0.0
 
     Q = np.empty((n_atoms, n))  # rows are the orthonormalized selected atoms
     rmat = np.zeros((n_atoms, n_atoms))
     qt_target = np.empty(n_atoms)
     selected = []
-    selectable = usable.copy()
+    selectable = atom_norms > 0.0
     residual = t.copy()
     evr = 0.0
-    exhausted = False
 
-    while True:
+    while evr < variance_threshold:
         corr = np.abs(D.T @ residual)
         corr[~selectable] = -1.0
-        placed = False
-        while True:
-            j = int(np.argmax(corr))
-            if corr[j] < 0.0:
-                exhausted = True
-                break
-            k = len(selected)
-            q = D[:, j].copy()
-            if k:
-                # Two rounds of classical Gram-Schmidt keep Q orthonormal.
-                proj = Q[:k] @ q
-                q -= Q[:k].T @ proj
-                proj2 = Q[:k] @ q
-                q -= Q[:k].T @ proj2
-                rmat[:k, k] = proj + proj2
-            norm = np.linalg.norm(q)
-            if norm <= COLLINEAR_TOL * atom_norms[j]:
-                # Collinear with current selection: adds nothing to the span.
-                selectable[j] = False
-                corr[j] = -1.0
-                continue
-            rmat[k, k] = norm
-            Q[k] = q / norm
-            coef = float(Q[k] @ residual)
-            qt_target[k] = coef
-            residual = residual - coef * Q[k]
-            selected.append(j)
-            selectable[j] = False
-            placed = True
-            break
-        if exhausted and not placed:
-            if not selected:
-                raise ValueError("dictionary has no usable atoms")
-            break
+        j = int(np.argmax(corr))
+        if corr[j] < 0.0:
+            break  # every usable atom is selected or collinear
+        k = len(selected)
+        q = D[:, j].copy()
+        if k:
+            # Two rounds of classical Gram-Schmidt keep Q orthonormal.
+            proj = Q[:k] @ q
+            q -= Q[:k].T @ proj
+            proj2 = Q[:k] @ q
+            q -= Q[:k].T @ proj2
+            rmat[:k, k] = proj + proj2
+        norm = np.linalg.norm(q)
+        selectable[j] = False
+        if norm <= COLLINEAR_TOL * atom_norms[j]:
+            continue  # collinear with the selection: adds nothing to the span
+        rmat[k, k] = norm
+        Q[k] = q / norm
+        qt_target[k] = float(Q[k] @ residual)
+        residual = residual - qt_target[k] * Q[k]
+        selected.append(j)
         evr = 1.0 - float(residual @ residual) / denom
-        if evr >= variance_threshold or len(selected) == n_atoms:
-            exhausted = evr < variance_threshold
-            break
+    if not selected:
+        raise ValueError("dictionary has no usable atoms")
 
+    # Imported here, as Ward imports scipy, so that ``import sparca`` does
+    # not load scipy.linalg.
+    from scipy.linalg import solve_triangular
+
+    # Joint least-squares coefficients over the support: R w = Q^T t.
     k = len(selected)
-    # Back-substitute R w = Q^T t for the joint least-squares coefficients.
-    w = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        w[i] = (qt_target[i] - rmat[i, i + 1 : k] @ w[i + 1 : k]) / rmat[i, i]
+    w = solve_triangular(rmat[:k, :k], qt_target[:k])
 
     order = np.argsort(feature_indices[selected])
     entries = tuple(
@@ -170,5 +156,5 @@ def omp_fit(
         achieved_evr=float(min(max(evr, 0.0), 1.0)),
         cluster=cluster,
         rank=rank,
-        full_support=exhausted,
+        full_support=evr < variance_threshold,
     )

@@ -229,8 +229,12 @@ def save_model(model: SparcaModel, path):
         fh.write("\n")
 
 
-def _check_model(scaler, labels, n_clusters, components):
+def _check_model(scaler, labels, n_clusters, components, variance_threshold):
     """Raise ``ValueError`` unless the parsed parts fit together as a model."""
+    if not 0.0 < variance_threshold <= 1.0:
+        raise ValueError(
+            f"variance_threshold {variance_threshold} is not in (0, 1]"
+        )
     means, stds, kept = scaler.means, scaler.stds, scaler.kept_features
     if means.ndim != 1 or stds.shape != means.shape:
         raise ValueError(
@@ -264,6 +268,11 @@ def _check_model(scaler, labels, n_clusters, components):
     for comp in components:
         if not comp.entries:
             raise ValueError(f"component {comp.source} has no entries")
+        if not 0.0 <= comp.achieved_evr <= 1.0:
+            raise ValueError(
+                f"component {comp.source} has evr {comp.achieved_evr}, "
+                f"which is not in [0, 1]"
+            )
         for feature, _ in comp.entries:
             if cluster_of.get(feature) != comp.cluster:
                 raise ValueError(
@@ -291,9 +300,10 @@ def load_model(path) -> SparcaModel:
     """Load a model written by :func:`save_model`.
 
     Raises ``ValueError`` on unknown format versions, malformed files and
-    parts that do not fit together (scaler lengths, kept features, std,
-    assignment, component supports, per-cluster ranks ``0..h-1``); never
-    returns a partial model.
+    parts that do not fit together (a variance threshold outside (0, 1],
+    scaler lengths, kept features, std, assignment, component supports and
+    EVRs outside [0, 1], per-cluster ranks ``0..h-1``); never returns a
+    partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -337,7 +347,9 @@ def load_model(path) -> SparcaModel:
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
     try:
-        _check_model(scaler, labels, n_clusters, components)
+        _check_model(
+            scaler, labels, n_clusters, components, variance_threshold
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: inconsistent model file ({exc})") from exc
     projection = _assemble_projection(

@@ -6,7 +6,7 @@ import sparca.pipeline
 from sparca.cfcurve import CfCurve, cf_curve, default_grid, select_clusters
 from sparca.cluster import _cut_groups, feature_distances, ward_linkage
 from sparca.data import standardize_apply, standardize_fit
-from sparca.horn import HornParams
+from sparca.horn import HornParams, horn_components
 
 from conftest import block_factor_data
 
@@ -32,10 +32,6 @@ class TestSelectClusters:
         curve = CfCurve.from_points([1, 5], [3, 5])
         with pytest.raises(ValueError, match="3 grid points"):
             select_clusters(curve)
-
-    def test_smoothing_window_one_uses_raw_derivative(self):
-        curve = CfCurve.from_points([1, 2, 3, 4], [0, 5, 6, 10])
-        assert select_clusters(curve, smoothing_window=1) == 3
 
     def test_derivative_stencil(self):
         curve = CfCurve.from_points([1, 2, 4, 8], [1, 3, 4, 12])
@@ -146,6 +142,44 @@ class TestCfCurve:
         monkeypatch.setattr(sparca.cfcurve, "horn_components", counting_horn)
         cf_curve(block_data, grid=grid, n_threads=1)
         assert calls == len(nodes)
+
+    def test_each_cut_sizes_its_own_table(self, monkeypatch):
+        # A cap of 10 columns at 60 rows: the first call's table is narrower
+        # than the cap, and the coarse cut's widest nodes exceed the cap and
+        # fall back to per-chunk permutations.
+        monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * 60 * 10)
+        widths = []
+        table = sparca.cfcurve._PermutationTable
+
+        def recording_table(params, n_rows, n_cols):
+            built = table(params, n_rows, n_cols)
+            widths.append(built._perms.shape[1])
+            return built
+
+        monkeypatch.setattr(sparca.cfcurve, "_PermutationTable", recording_table)
+        X, _ = block_factor_data(60, n_blocks=4, block_size=8, seed=4)
+        params = HornParams(seed=2)
+        tree = sparca.cfcurve.FeatureTree(X, params, n_threads=2)
+        for ks in ([12, 16], [2]):
+            for groups, counts in tree.cuts(ks):
+                assert counts == [
+                    horn_components(tree.Xs[:, cols], params) for cols in groups
+                ]
+        assert max(map(len, groups)) > 10
+        assert widths[0] < widths[1] == 10
+
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_thread_count_below_one_rejected(
+        self, block_data, monkeypatch, n_threads
+    ):
+        def no_work(X):
+            raise AssertionError("standardized before rejecting n_threads")
+
+        monkeypatch.setattr(sparca.cfcurve, "standardize_fit", no_work)
+        with pytest.raises(ValueError, match="n_threads must be at least 1"):
+            cf_curve(block_data, n_threads=n_threads)
+        with pytest.raises(ValueError, match="n_threads must be at least 1"):
+            sparca.pipeline.fit(block_data, n_threads=n_threads)
 
 
 class TestDefaultGrid:

@@ -57,6 +57,14 @@ class TestFit:
         # the automatic choice lands on the plateau of the curve, where the
         # reduced feature count equals the true factor count
         assert model.n_reduced == 8
+        # and it is the count cf-curve reports for the same file and seed
+        curve_path = tmp_path / "curve.csv"
+        assert main([
+            "cf-curve", "--input", str(block_csv),
+            "--out", str(curve_path), "--seed", "0",
+        ]) == 0
+        first = curve_path.read_text().splitlines()[0]
+        assert first == f"# selected = {model.n_clusters}"
 
     def test_auto_builds_one_tree_and_runs_horn_once_per_node(
         self, block_csv, tmp_path, capsys, monkeypatch

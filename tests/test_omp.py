@@ -54,6 +54,7 @@ class TestOmpFit:
         assert sorted(j for j, _, _ in steps) == comp.feature_indices.tolist()
         # per-step residuals of the reference match a re-run of ours by EVR
         assert np.isclose(comp.achieved_evr, steps[-1][2], atol=1e-8)
+        assert comp.full_support == (comp.achieved_evr < f)
 
     def test_duplicate_atom_never_selected(self):
         rng = np.random.default_rng(2)

@@ -186,6 +186,20 @@ def _empty_entries(doc):
     doc["components"][0]["entries"] = []
 
 
+def _set_threshold(value):
+    def corrupt(doc):
+        doc["variance_threshold"] = value
+
+    return corrupt
+
+
+def _set_evr(value):
+    def corrupt(doc):
+        doc["components"][0]["evr"] = value
+
+    return corrupt
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -247,6 +261,14 @@ class TestSerialization:
             (_cluster_without_components, "cluster 0 has no components"),
             (_rank_gap, "ranks"),
             (_empty_entries, "no entries"),
+            (_set_threshold(2.0), "variance_threshold 2.0 is not in"),
+            (_set_threshold(-1.0), "variance_threshold -1.0 is not in"),
+            (_set_threshold(float("nan")), "variance_threshold nan is not in"),
+            (_set_threshold(float("inf")), "variance_threshold inf is not in"),
+            (_set_evr(float("nan")), r"evr nan, which is not in \[0, 1\]"),
+            (_set_evr(float("inf")), r"evr inf, which is not in \[0, 1\]"),
+            (_set_evr(1.5), r"evr 1.5, which is not in \[0, 1\]"),
+            (_set_evr(-0.1), r"evr -0.1, which is not in \[0, 1\]"),
         ],
     )
     def test_inconsistent_parts_rejected(
@@ -258,8 +280,9 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as excinfo:
             load_model(path)
+        assert str(path) in str(excinfo.value)
 
     def test_missing_key_rejected(self, block_model, tmp_path):
         _, _, model = block_model

@@ -66,6 +66,7 @@ def test_save_load_transform_round_trip(case, batch_seed):
     before, after = transform(model, batch), transform(loaded, batch)
     assert np.array_equal(before.values, after.values)
     assert before.column_provenance == after.column_provenance
+    assert loaded.components == model.components
 
 
 @PROPERTY_SETTINGS
