@@ -60,26 +60,39 @@ class ClusterAssignment:
         return np.flatnonzero(self.labels == cluster_id)
 
 
+# Inner products ``feature_distances`` holds at once: one block of rows.
+_BLOCK_ENTRIES = 1 << 19
+
+
 def feature_distances(X_std):
     """Pairwise Euclidean distances between columns, condensed row-major.
 
     Entry order is the standard condensed layout: (0,1), (0,2), ...,
-    (m-2,m-1). Requires at least two columns. Squared distances are formed
-    as ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` in place, so besides the input the
-    peak memory is about 2*8*m^2 + 4*m^2 bytes: the m x m Gram matrix, the
-    m x m squared distances and the condensed vector.
+    (m-2,m-1). Requires at least two columns. The vector is written one
+    block of rows at a time: block ``[i0, i1)`` takes the inner products
+    ``g = X[:, i0:i1].T @ X[:, i0:]``, and each row ``i`` of it becomes
+    ``(|x_i|^2 + |x_j|^2) - 2 g_ij`` for ``j > i``, written straight into its
+    stretch of the vector. Besides the input, the peak memory is the
+    condensed vector, 4*m^2 bytes, plus one block of at most about
+    ``_BLOCK_ENTRIES`` float64 entries (4 MB), not an m x m matrix.
     """
-    from scipy.spatial.distance import squareform
-
     X = validate_matrix(X_std, name="X_std")
-    if X.shape[1] < 2:
+    m = X.shape[1]
+    if m < 2:
         raise ValueError("need at least 2 features to compute distances")
-    gram = X.T @ X
-    sq = np.diag(gram)
-    d2 = sq[:, None] + sq[None, :]
-    gram *= 2.0
-    d2 -= gram
-    d = squareform(d2, checks=False)
+    sq = np.einsum("ij,ij->j", X, X)
+    d = np.empty(m * (m - 1) // 2)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    pos = 0
+    for i0 in range(0, m - 1, rows):
+        i1 = min(i0 + rows, m - 1)
+        g = X[:, i0:i1].T @ X[:, i0:]
+        g *= 2.0
+        for r, i in enumerate(range(i0, i1)):
+            out = d[pos : pos + m - 1 - i]
+            np.add(sq[i], sq[i + 1 :], out=out)
+            out -= g[r, r + 1 :]
+            pos += out.size
     np.maximum(d, 0.0, out=d)
     return np.sqrt(d, out=d)
 

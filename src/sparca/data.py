@@ -87,6 +87,8 @@ def standardize_apply(scaler: Scaler, X):
     """Center and scale the kept columns of ``X`` with fitted statistics.
 
     Returns an array with ``scaler.n_kept`` columns in original column order.
+    The gathered copy is centred and scaled in place, so a call allocates one
+    array of the result's size, not three.
     """
     X = validate_matrix(X)
     if X.shape[1] != scaler.n_features:
@@ -94,7 +96,10 @@ def standardize_apply(scaler: Scaler, X):
             f"expected {scaler.n_features} columns, got {X.shape[1]}"
         )
     kept = scaler.kept_features
-    return (X[:, kept] - scaler.means[kept]) / scaler.stds[kept]
+    Xs = X[:, kept]
+    Xs -= scaler.means[kept]
+    Xs /= scaler.stds[kept]
+    return Xs
 
 
 def load_csv(path, has_header=False, label_col=None):

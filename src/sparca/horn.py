@@ -56,6 +56,8 @@ def _mix64(z):
 
 # Entries per chunk of permuted trials, and the cap of a permutation table.
 _CHUNK_ENTRIES = 4_000_000
+# Sort keys hashed and sorted at a time: a block of columns stays in cache.
+_SORT_ENTRIES = 1 << 15
 
 
 def _permutations(seed: int, trials, n_cols: int, n_rows: int):
@@ -71,6 +73,8 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
     the row bits and the SplitMix64 finalizer is a bijection on uint64, so
     its keys are distinct: the sort need not be stable, and numpy's default
     sort gives the permutation a stable one would, several times faster.
+    Keys are hashed and sorted for about ``_SORT_ENTRIES`` of them at a
+    time, a few columns, so they stay in cache between the two steps.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
     if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
@@ -78,12 +82,17 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
             "permutation streams need fewer than 2**22 rows, 2**22 columns "
             "and 2**20 trials"
         )
-    c = np.arange(n_cols, dtype=np.uint64).reshape(1, -1, 1)
     i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
-    packed = (t << np.uint64(44)) | (c << np.uint64(22)) | i
+    packed = (t << np.uint64(44)) | i
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
-    keys = _mix64(packed ^ seed_key)
-    return np.argsort(keys, axis=-1)
+    out = np.empty((t.shape[0], n_cols, n_rows), dtype=np.intp)
+    step = max(1, _SORT_ENTRIES // packed.size)
+    for c0 in range(0, n_cols, step):
+        c1 = min(c0 + step, n_cols)
+        c = np.arange(c0, c1, dtype=np.uint64).reshape(1, -1, 1)
+        keys = _mix64((packed | (c << np.uint64(22))) ^ seed_key)
+        out[:, c0:c1] = np.argsort(keys, axis=-1)
+    return out
 
 
 class _PermutationTable:

@@ -299,11 +299,11 @@ def _check_model(scaler, labels, n_clusters, components, variance_threshold):
 def load_model(path) -> SparcaModel:
     """Load a model written by :func:`save_model`.
 
-    Raises ``ValueError`` on unknown format versions, malformed files and
-    parts that do not fit together (a variance threshold outside (0, 1],
-    scaler lengths, kept features, std, assignment, component supports and
-    EVRs outside [0, 1], per-cluster ranks ``0..h-1``); never returns a
-    partial model.
+    Raises ``ValueError`` on unknown format versions, malformed files
+    (missing keys, values that do not convert to numbers) and parts that do
+    not fit together (a variance threshold outside (0, 1], scaler lengths,
+    kept features, std, assignment, component supports and EVRs outside
+    [0, 1], per-cluster ranks ``0..h-1``); never returns a partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -312,11 +312,14 @@ def load_model(path) -> SparcaModel:
         raise ValueError(f"{path}: not a valid model file ({exc})") from exc
     try:
         version = doc["format_version"]
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format_version {version!r}, "
-                f"expected {FORMAT_VERSION}"
-            )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: unsupported format_version {version!r}, "
+            f"expected {FORMAT_VERSION}"
+        )
+    try:
         variance_threshold = float(doc["variance_threshold"])
         scaler = Scaler(
             means=np.asarray(doc["scaler"]["means"], dtype=np.float64),
@@ -344,7 +347,7 @@ def load_model(path) -> SparcaModel:
             )
             for c in doc["components"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
     try:
         _check_model(

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take the slow, direct route: Ward merges are chosen by
-brute-force sum-of-squares increase over all cluster pairs, cuts replay the
+brute-force sum-of-squares increase over all cluster pairs, column distances
+are norms of column differences taken one pair at a time, cuts replay the
 kept merges with Python sets, the matching pursuit path re-solves every
 least-squares fit from scratch with ``np.linalg.lstsq``, and Horn's null
 hashes every sort key with Python integers and permutes one column at a time.
@@ -23,6 +24,19 @@ def ward_delta_sse(X, group_a, group_b):
         return float(((block - centroid) ** 2).sum())
 
     return sse(group_a | group_b) - sse(group_a) - sse(group_b)
+
+
+def column_distances(X):
+    """Condensed Euclidean distances between columns, ``(0,1), (0,2), ...``,
+    each the norm of one column difference."""
+    m = X.shape[1]
+    return np.array(
+        [
+            np.sqrt(np.sum((X[:, i] - X[:, j]) ** 2))
+            for i in range(m)
+            for j in range(i + 1, m)
+        ]
+    )
 
 
 def naive_ward(X):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sparca.cluster
 from sparca.cluster import (
     _cut_groups,
     cut_to_k,
@@ -10,7 +13,7 @@ from sparca.cluster import (
 from sparca.data import standardize_apply, standardize_fit
 
 from conftest import partition_sets
-from oracles import naive_cut, naive_ward, ward_delta_sse
+from oracles import column_distances, naive_cut, naive_ward, ward_delta_sse
 
 
 def _standardized(rng, n, m):
@@ -84,6 +87,70 @@ class TestFeatureDistances:
     def test_single_column_errors(self):
         with pytest.raises(ValueError, match="at least 2"):
             feature_distances(np.ones((5, 1)))
+
+
+def _dense_distances(X):
+    """Condensed distances through the full m x m Gram and squared-distance
+    matrices, in the operation order the row blocks keep."""
+    gram = X.T @ X
+    sq = np.diag(gram)
+    d2 = sq[:, None] + sq[None, :]
+    gram *= 2.0
+    d2 -= gram
+    d = d2[np.triu_indices(X.shape[1], 1)]
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
+# Rows per block when the block budget is patched down for a test.
+_WIDTH = 4
+
+
+class TestBlockedDistances:
+    @pytest.mark.parametrize("m", [2, _WIDTH, _WIDTH + 1, 3 * _WIDTH - 1])
+    def test_matches_oracle_across_block_edges(self, monkeypatch, m):
+        monkeypatch.setattr(sparca.cluster, "_BLOCK_ENTRIES", _WIDTH * m)
+        X = np.random.default_rng(m).standard_normal((7, m))
+        np.testing.assert_allclose(
+            feature_distances(X), column_distances(X), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ward_merges_equal_the_dense_formula(self, seed):
+        m = 800
+        assert m > sparca.cluster._BLOCK_ENTRIES // m  # several row blocks
+        X = _standardized(np.random.default_rng(seed), 20, m)
+        blocked = ward_linkage(feature_distances(X), m)
+        dense = ward_linkage(_dense_distances(X), m)
+        assert np.array_equal(blocked.left, dense.left)
+        assert np.array_equal(blocked.right, dense.right)
+        assert np.array_equal(blocked.size, dense.size)
+        np.testing.assert_allclose(
+            blocked.distance, dense.distance, rtol=1e-12, atol=1e-12
+        )
+
+    def test_duplicated_columns_in_different_blocks_merge_first(
+        self, monkeypatch
+    ):
+        m = 3 * _WIDTH
+        monkeypatch.setattr(sparca.cluster, "_BLOCK_ENTRIES", _WIDTH * m)
+        X = _standardized(np.random.default_rng(6), 15, m)
+        X[:, 2 * _WIDTH + 1] = X[:, 1]
+        linkage = ward_linkage(feature_distances(X), m)
+        assert (linkage.left[0], linkage.right[0]) == (1, 2 * _WIDTH + 1)
+        assert linkage.distance[0] < 1e-6
+
+    def test_peak_memory_is_the_condensed_vector_plus_one_block(self):
+        n, m = 32, 1500
+        X = np.random.default_rng(7).standard_normal((n, m))
+        condensed_bytes = 8 * (m * (m - 1) // 2)
+        tracemalloc.start()
+        try:
+            feature_distances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < condensed_bytes + 4 * 8 * sparca.cluster._BLOCK_ENTRIES
 
 
 class TestWardLinkage:

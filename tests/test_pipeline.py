@@ -200,6 +200,17 @@ def _set_evr(value):
     return corrupt
 
 
+def _set_n_clusters(value):
+    def corrupt(doc):
+        doc["n_clusters"] = value
+
+    return corrupt
+
+
+def _string_label(doc):
+    doc["assignment"][0] = "a"
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -239,7 +250,7 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="format_version"):
+        with pytest.raises(ValueError, match="unsupported format_version"):
             load_model(path)
 
     def test_truncated_file_rejected(self, block_model, tmp_path):
@@ -269,6 +280,10 @@ class TestSerialization:
             (_set_evr(float("inf")), r"evr inf, which is not in \[0, 1\]"),
             (_set_evr(1.5), r"evr 1.5, which is not in \[0, 1\]"),
             (_set_evr(-0.1), r"evr -0.1, which is not in \[0, 1\]"),
+            (_set_threshold("abc"), "malformed model file .*'abc'"),
+            (_set_n_clusters("two"), "malformed model file .*'two'"),
+            (_set_n_clusters(float("inf")), "malformed model file .*infinity"),
+            (_string_label, "malformed model file .*'a'"),
         ],
     )
     def test_inconsistent_parts_rejected(
