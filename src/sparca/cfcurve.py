@@ -180,7 +180,13 @@ class FeatureTree:
     def curve(self, grid=None) -> CfCurve:
         """The cf-curve over ``grid`` (default: ``default_grid``)."""
         m = self.scaler.n_kept
-        grid = default_grid(m) if grid is None else np.asarray(grid, np.int64)
+        if grid is None:
+            grid = default_grid(m)
+        else:
+            values = np.asarray(grid)
+            grid = values.astype(np.int64)
+            if (grid != values).any():
+                raise ValueError(f"grid values must be integers, got {values}")
         if grid.size < 1:
             raise ValueError("grid is empty")
         if (np.diff(grid) <= 0).any():

@@ -60,17 +60,8 @@ def _add_input(parser):
     )
 
 
-def _horn_args(parser):
-    parser.add_argument("--horn-repeats", type=int, default=20)
-    parser.add_argument("--horn-percentile", type=float, default=95.0)
-
-
 def _horn_params(args):
-    return HornParams(
-        n_repeats=args.horn_repeats,
-        percentile=args.horn_percentile,
-        seed=args.seed,
-    )
+    return HornParams(seed=args.seed)
 
 
 def _int_list(text):
@@ -274,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")
-    _horn_args(p)
     _add_common(p, seed, threads)
     p.set_defaults(func=cmd_fit)
 
@@ -290,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma-separated cluster counts (default: geometric)")
     p.add_argument("--out", required=True, help="curve CSV output path")
-    _horn_args(p)
     _add_common(p, seed, threads)
     p.set_defaults(func=cmd_cf_curve)
 
@@ -308,11 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="split, reduce, train and score classifiers, sweep noise",
     )
-    p.add_argument("--input", help="labeled CSV path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="labeled CSV path")
+    source.add_argument("--idx-images",
+                        help="IDX image file (needs --idx-labels)")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--label-col", type=int, default=-1,
                    help="label column index in the CSV (default: last)")
-    p.add_argument("--idx-images", help="IDX image file (alternative input)")
     p.add_argument("--idx-labels", help="IDX label file")
     p.add_argument("--embed-frac", type=float, default=0.3)
     p.add_argument("--train-frac", type=float, default=0.5)
@@ -325,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise levels in standardized units")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the emitted CSV artifacts")
-    _horn_args(p)
     _add_common(p, seed, threads)
     p.set_defaults(func=cmd_eval)
 
@@ -343,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "input", None) is None and args.command == "eval" and not args.idx_images:
-        parser.error("eval requires --input or --idx-images/--idx-labels")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

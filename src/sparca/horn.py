@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ class HornParams:
     seed: int = 0
 
     def __post_init__(self):
+        # The seed is hashed as one uint64.
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+            raise ValueError(
+                f"seed must be an integer in [0, 2**64), got {seed!r}"
+            )
         if self.n_repeats < 1:
             raise ValueError("n_repeats must be >= 1")
         if not 0.0 < self.percentile <= 100.0:
@@ -60,7 +67,7 @@ _CHUNK_ENTRIES = 4_000_000
 _SORT_ENTRIES = 1 << 15
 
 
-def _permutations(seed: int, trials, n_cols: int, n_rows: int):
+def _permutations(seed: int, trials, n_cols: int, n_rows: int, out=None):
     """Row permutations for every (trial, column) pair, shape (t, c, n).
 
     Each pair gets its own counter-based stream: sort keys are SplitMix64
@@ -74,7 +81,9 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
     its keys are distinct: the sort need not be stable, and numpy's default
     sort gives the permutation a stable one would, several times faster.
     Keys are hashed and sorted for about ``_SORT_ENTRIES`` of them at a
-    time, a few columns, so they stay in cache between the two steps.
+    time, a few columns, so they stay in cache between the two steps. Each
+    such block is written straight into ``out`` (any integer dtype that holds
+    ``n_rows``; default a new intp array), which is returned.
     """
     t = np.asarray(trials, dtype=np.uint64).reshape(-1, 1, 1)
     if n_rows >= 1 << 22 or n_cols >= 1 << 22 or t.max() >= 1 << 20:
@@ -85,7 +94,8 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int):
     i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
     packed = (t << np.uint64(44)) | i
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
-    out = np.empty((t.shape[0], n_cols, n_rows), dtype=np.intp)
+    if out is None:
+        out = np.empty((t.shape[0], n_cols, n_rows), dtype=np.intp)
     step = max(1, _SORT_ENTRIES // packed.size)
     for c0 in range(0, n_cols, step):
         c1 = min(c0 + step, n_cols)
@@ -122,8 +132,8 @@ class _PermutationTable:
         size = math.prod(shape)
         buffer = mmap.mmap(-1, 4 * max(size, 1))
         self._perms = np.frombuffer(buffer, np.int32, size).reshape(shape)
-        self._perms[:] = _permutations(
-            self.seed, range(self.n_repeats), cols, n_rows
+        _permutations(
+            self.seed, range(self.n_repeats), cols, n_rows, out=self._perms
         )
 
     def columns(self, m: int):

@@ -9,7 +9,9 @@ projection matrix applied at transform time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -37,19 +39,18 @@ FORMAT_VERSION = 1
 class SparcaModel:
     """Fitted sparse dimensionality-reduction model.
 
-    ``components`` are ordered by (cluster, rank); ``projection`` is the
-    (n_kept_features, n_reduced) CSC matrix whose column j scatters component
-    j's weights onto its feature rows. Column supports from different
-    clusters are disjoint by construction.
+    ``components`` are ordered by (cluster, rank). The model holds only what
+    ``save_model`` writes; ``projection`` is built from the components on
+    first use and kept. It is the (n_kept_features, n_reduced) CSC matrix
+    whose column j scatters component j's weights onto its feature rows.
+    Column supports from different clusters are disjoint by construction.
     """
 
     scaler: Scaler
-    n_clusters: int
     variance_threshold: float
     horn_params: HornParams
     assignment: ClusterAssignment
     components: tuple
-    projection: sparse.csc_array = field(repr=False, compare=False)
 
     @property
     def n_features(self) -> int:
@@ -57,8 +58,25 @@ class SparcaModel:
         return self.scaler.n_features
 
     @property
+    def n_clusters(self) -> int:
+        return self.assignment.n_clusters
+
+    @property
     def n_reduced(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def projection(self) -> sparse.csc_array:
+        position = {int(f): i for i, f in enumerate(self.scaler.kept_features)}
+        rows, cols, data = [], [], []
+        for j, comp in enumerate(self.components):
+            for feature, weight in comp.entries:
+                rows.append(position[feature])
+                cols.append(j)
+                data.append(weight)
+        return sparse.csc_array(
+            (data, (rows, cols)), shape=(self.scaler.n_kept, self.n_reduced)
+        )
 
     def transform(self, X) -> "ReducedMatrix":
         return transform(self, X)
@@ -74,19 +92,6 @@ class ReducedMatrix:
 
     values: np.ndarray
     column_provenance: tuple
-
-
-def _assemble_projection(components, kept_features, n_reduced):
-    position = {int(f): i for i, f in enumerate(kept_features)}
-    rows, cols, data = [], [], []
-    for j, comp in enumerate(components):
-        for feature, weight in comp.entries:
-            rows.append(position[feature])
-            cols.append(j)
-            data.append(weight)
-    return sparse.csc_array(
-        (data, (rows, cols)), shape=(len(kept_features), n_reduced)
-    )
 
 
 def _fit_cluster(x_block, orig_indices, cluster_id, h, variance_threshold):
@@ -141,6 +146,8 @@ def fit(
         horn_params = HornParams()
     if not 0.0 < variance_threshold <= 1.0:
         raise ValueError("variance_threshold must be in (0, 1]")
+    if n_clusters is not None and not isinstance(n_clusters, numbers.Integral):
+        raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit")
     tree = FeatureTree(X, horn_params, n_threads)
@@ -162,31 +169,22 @@ def fit(
         )
 
     per_cluster = thread_map(run, range(n_clusters), n_threads)
-    components = tuple(comp for comps in per_cluster for comp in comps)
-    projection = _assemble_projection(
-        components, scaler.kept_features, len(components)
-    )
     return SparcaModel(
         scaler=scaler,
-        n_clusters=n_clusters,
         variance_threshold=variance_threshold,
         horn_params=horn_params,
         assignment=ClusterAssignment.from_groups(groups),
-        components=components,
-        projection=projection,
+        components=tuple(comp for comps in per_cluster for comp in comps),
     )
 
 
 def transform(model: SparcaModel, X) -> ReducedMatrix:
     """Standardize ``X`` with the fitted scaler and project it.
 
-    The sparse product costs time proportional to the projection's nonzeros.
+    ``standardize_apply`` rejects an ``X`` that is not a finite matrix of
+    ``model.n_features`` columns. The sparse product costs time
+    proportional to the projection's nonzeros.
     """
-    X = validate_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} columns, got {X.shape[1]}"
-        )
     Xs = standardize_apply(model.scaler, X)
     values = np.asarray(Xs @ model.projection)
     provenance = tuple(
@@ -355,15 +353,10 @@ def load_model(path) -> SparcaModel:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: inconsistent model file ({exc})") from exc
-    projection = _assemble_projection(
-        components, scaler.kept_features, len(components)
-    )
     return SparcaModel(
         scaler=scaler,
-        n_clusters=n_clusters,
         variance_threshold=variance_threshold,
         horn_params=horn_params,
         assignment=ClusterAssignment(labels=labels, n_clusters=n_clusters),
         components=components,
-        projection=projection,
     )

@@ -118,6 +118,31 @@ class TestCfCurve:
         with pytest.raises(ValueError, match="out of range"):
             sparca.pipeline.fit(block_data, n_clusters=2000)
 
+    def test_non_integer_cuts_rejected_before_ward(
+        self, block_data, monkeypatch
+    ):
+        def no_ward(d, m):
+            raise AssertionError("Ward ran before the cut was checked")
+
+        monkeypatch.setattr(sparca.cfcurve, "ward_linkage", no_ward)
+        with pytest.raises(ValueError, match="grid values must be integers"):
+            cf_curve(block_data, grid=[1.5, 2.7, 3.2])
+        for k in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                sparca.pipeline.fit(block_data, n_clusters=k)
+        monkeypatch.undo()
+        # numpy integers are integers.
+        horn = HornParams(seed=0)
+        curve = cf_curve(block_data, grid=[2, 8, 30], horn_params=horn)
+        same = cf_curve(
+            block_data, grid=np.array([2, 8, 30], np.int32), horn_params=horn
+        )
+        assert np.array_equal(curve.n_features, same.n_features)
+        model = sparca.pipeline.fit(
+            block_data, n_clusters=np.int64(8), horn_params=horn
+        )
+        assert model.n_clusters == 8
+
     def test_threads_do_not_change_result(self, block_data):
         grid = [2, 8, 30]
         a = cf_curve(block_data, grid=grid, n_threads=1)

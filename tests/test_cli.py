@@ -128,6 +128,24 @@ class TestFit:
         assert excinfo.value.code == 2
         assert "--threads: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_negative_seed_is_reported(
+        self, block_csv, tmp_path, capsys, monkeypatch, from_env
+    ):
+        argv = [
+            "fit", "--input", str(block_csv), "--clusters", "2",
+            "--out", str(tmp_path / "m.json"),
+        ]
+        if from_env:
+            monkeypatch.setenv("SPARCA_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: seed must be an integer in [0, 2**64), got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestEnvironmentDefaults:
     @pytest.mark.parametrize(
@@ -286,6 +304,19 @@ class TestEvalCommand:
     def test_requires_input(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["eval", "--out-prefix", str(tmp_path / "x")])
+
+    def test_input_and_idx_images_are_exclusive(
+        self, labeled_csv, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "eval", "--input", str(labeled_csv),
+                "--idx-images", str(tmp_path / "images.idx"),
+                "--idx-labels", str(tmp_path / "labels.idx"),
+                "--out-prefix", str(tmp_path / "x"),
+            ])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestSynthCommand:

@@ -104,6 +104,15 @@ class TestHornComponents:
             HornParams(percentile=0.0)
         with pytest.raises(ValueError):
             HornParams(percentile=101.0)
+        # The seed is hashed as a uint64.
+        for seed in (-1, 2**64, 1.5, "3", np.int64(-2)):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                HornParams(seed=seed)
+        x = rank1_snr_block(40, 4, seed=0)
+        assert horn_components(x, HornParams(seed=np.uint64(3))) == (
+            horn_components(x, HornParams(seed=3))
+        )
+        horn_components(x, HornParams(seed=2**64 - 1))
 
     @pytest.mark.parametrize(
         "trials, n_cols, n_rows",
@@ -136,6 +145,21 @@ class TestPermutationTable:
         for c in range(1, 10):
             assert np.array_equal(table.columns(c)[trials], full[:, :c])
         assert table.columns(10) is None
+
+    def test_table_is_filled_in_place(self):
+        # The int32 table is written block by block, with no intp copy of
+        # it: at 20 x 96 x 1000 such a copy alone would be 15 MB.
+        params = HornParams(seed=6)
+        tracemalloc.start()
+        try:
+            table = _PermutationTable(params, 1000, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(
+            table.columns(96), _permutations(6, range(20), 96, 1000)
+        )
 
     def test_shared_table_gives_the_same_null(self, monkeypatch):
         # A cap of 12 columns at 8 rows: the 14-column block falls back to

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestFit:
             fit(X, n_clusters=6)
         with pytest.raises(ValueError, match="out of range"):
             fit(X, n_clusters=0)
+
+    def test_projection_and_cluster_count_are_derived(self, block_model):
+        _, _, model = block_model
+        assert {f.name for f in dataclasses.fields(model)} == {
+            "scaler", "variance_threshold", "horn_params", "assignment",
+            "components",
+        }
+        assert model.n_clusters == model.assignment.n_clusters == 8
+        P = model.projection
+        assert P is model.projection
+        assert P.format == "csc"
+        assert P.shape == (model.scaler.n_kept, model.n_reduced)
+        assert P.nnz == sum(c.support_size for c in model.components)
 
     def test_constant_columns_do_not_shift_indices(self):
         rng = np.random.default_rng(2)
@@ -207,6 +221,13 @@ def _set_n_clusters(value):
     return corrupt
 
 
+def _set_seed(value):
+    def corrupt(doc):
+        doc["horn"]["seed"] = value
+
+    return corrupt
+
+
 def _string_label(doc):
     doc["assignment"][0] = "a"
 
@@ -284,6 +305,8 @@ class TestSerialization:
             (_set_n_clusters("two"), "malformed model file .*'two'"),
             (_set_n_clusters(float("inf")), "malformed model file .*infinity"),
             (_string_label, "malformed model file .*'a'"),
+            (_set_seed(-1), "malformed model file .*seed must be an integer"),
+            (_set_seed(2**64), "malformed model file .*seed must be an"),
         ],
     )
     def test_inconsistent_parts_rejected(
