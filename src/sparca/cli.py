@@ -22,6 +22,28 @@ from .horn import HornParams
 from .pipeline import fit, load_model, save_model, transform
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that also rejects each ``exclusive`` pair of
+    flags given together, as a usage error. A mutually exclusive group
+    forbids every pair of its members, while ``eval`` forbids only the flags
+    of one input source beside the other source. Subcommand parsers share
+    the class."""
+
+    exclusive = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+
+        def given(flag):
+            value = getattr(namespace, flag.lstrip("-").replace("-", "_"))
+            return value is not None and value is not False
+
+        for flag, other in self.exclusive:
+            if given(flag) and given(other):
+                self.error(f"argument {flag}: not allowed with argument {other}")
+        return namespace, extras
+
+
 def _thread_count(text):
     value = int(text)
     if value < 1:
@@ -169,8 +191,9 @@ def cmd_eval(args) -> int:
             raise ValueError("--idx-labels is required with --idx-images")
         X, y = load_idx(args.idx_images, args.idx_labels)
     else:
+        label_col = -1 if args.label_col is None else args.label_col
         X, y = load_csv(
-            args.input, has_header=args.has_header, label_col=args.label_col
+            args.input, has_header=args.has_header, label_col=label_col
         )
     fracs = (args.embed_frac, args.train_frac, args.test_frac)
     if sum(fracs) > 1.0 + 1e-9:
@@ -244,7 +267,7 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparca",
         description="Sparse dimensionality reduction via feature "
         "agglomeration, per-cluster PCA, and orthogonal matching pursuit.",
@@ -302,9 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--idx-images",
                         help="IDX image file (needs --idx-labels)")
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--label-col", type=int, default=-1,
+    p.add_argument("--label-col", type=int,
                    help="label column index in the CSV (default: last)")
     p.add_argument("--idx-labels", help="IDX label file")
+    p.exclusive = (
+        ("--input", "--idx-labels"),
+        ("--idx-images", "--has-header"),
+        ("--idx-images", "--label-col"),
+    )
     p.add_argument("--embed-frac", type=float, default=0.3)
     p.add_argument("--train-frac", type=float, default=0.5)
     p.add_argument("--test-frac", type=float, default=0.2)

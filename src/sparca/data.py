@@ -41,16 +41,34 @@ class Scaler:
     def n_kept(self) -> int:
         return int(self.kept_features.size)
 
+    def check_width(self, X):
+        """Raise unless ``X`` has the fitted feature count of columns."""
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"expected {self.n_features} columns, got {X.shape[1]}"
+            )
 
-def validate_matrix(X, name="X"):
-    """Coerce to a 2-D float64 array and reject empty or non-finite input."""
+
+def as_matrix(X, name="X"):
+    """Coerce to a 2-D float64 array with at least one row and one column."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
+    return X
+
+
+def require_finite(X, name="X"):
+    """Raise unless every entry of ``X`` is finite."""
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or infinite values")
+
+
+def validate_matrix(X, name="X"):
+    """Coerce to a 2-D float64 array and reject empty or non-finite input."""
+    X = as_matrix(X, name)
+    require_finite(X, name)
     return X
 
 
@@ -91,10 +109,7 @@ def standardize_apply(scaler: Scaler, X):
     array of the result's size, not three.
     """
     X = validate_matrix(X)
-    if X.shape[1] != scaler.n_features:
-        raise ValueError(
-            f"expected {scaler.n_features} columns, got {X.shape[1]}"
-        )
+    scaler.check_width(X)
     kept = scaler.kept_features
     Xs = X[:, kept]
     Xs -= scaler.means[kept]

@@ -24,6 +24,8 @@ from .compress import pca_fit
 from .data import (
     VARIANCE_EPS,
     Scaler,
+    as_matrix,
+    require_finite,
     standardize_apply,
     standardize_fit,
     thread_map,
@@ -35,15 +37,27 @@ from .omp import SparseComponent, omp_fit
 FORMAT_VERSION = 1
 
 
+# Input entries ``transform`` reads per block of rows: 1 MiB of float64, so
+# that a block's finiteness scan, gathered support columns and product stay in
+# a core's cache.
+_BLOCK_ENTRIES = 1 << 17
+
+
 @dataclass(frozen=True, eq=False)
 class SparcaModel:
     """Fitted sparse dimensionality-reduction model.
 
     ``components`` are ordered by (cluster, rank). The model holds only what
-    ``save_model`` writes; ``projection`` is built from the components on
-    first use and kept. It is the (n_kept_features, n_reduced) CSC matrix
-    whose column j scatters component j's weights onto its feature rows.
-    Column supports from different clusters are disjoint by construction.
+    ``save_model`` writes; everything else is derived from it on first use
+    and kept:
+
+    - ``projection``, the (n_kept_features, n_reduced) CSC matrix whose
+      column j scatters component j's weights onto its feature rows. Column
+      supports from different clusters are disjoint by construction.
+    - ``column_provenance``, which every ``transform`` result shares.
+    - What ``transform`` reads per batch: the support (the kept features
+      that carry a weight), its means and stds, and its weights as CSR
+      rows, so serving touches only the support's columns of the batch.
     """
 
     scaler: Scaler
@@ -76,6 +90,31 @@ class SparcaModel:
                 data.append(weight)
         return sparse.csc_array(
             (data, (rows, cols)), shape=(self.scaler.n_kept, self.n_reduced)
+        )
+
+    @cached_property
+    def column_provenance(self) -> tuple:
+        return tuple(
+            (comp.cluster, comp.rank, tuple(int(i) for i, _ in comp.entries))
+            for comp in self.components
+        )
+
+    @cached_property
+    def _serving(self) -> tuple:
+        """``(columns, weights, means, stds)``: the support's original column
+        indices, increasing; the CSR (n_reduced, len(columns)) transpose of
+        the projection's support rows; the support's means and stds as
+        (len(columns), 1) columns."""
+        # The projection's CSC indices are sorted within each column, and
+        # row selection keeps that order, so every output element sums its
+        # terms in the order of ``standardize_apply(X) @ projection``.
+        support = np.unique(self.projection.indices)
+        columns = self.scaler.kept_features[support]
+        return (
+            columns,
+            sparse.csr_array(self.projection[support].T),
+            self.scaler.means[columns][:, None],
+            self.scaler.stds[columns][:, None],
         )
 
     def transform(self, X) -> "ReducedMatrix":
@@ -181,17 +220,29 @@ def fit(
 def transform(model: SparcaModel, X) -> ReducedMatrix:
     """Standardize ``X`` with the fitted scaler and project it.
 
-    ``standardize_apply`` rejects an ``X`` that is not a finite matrix of
-    ``model.n_features`` columns. The sparse product costs time
-    proportional to the projection's nonzeros.
+    Raises ``ValueError`` unless ``X`` is a matrix of ``model.n_features``
+    columns whose every entry is finite, dropped columns included; no
+    partial result is returned. ``X`` is read in one pass, in blocks of
+    rows: each block is scanned for finiteness at full width, and only its
+    support columns (the kept features that carry a weight) are gathered,
+    centred, scaled and multiplied by the sparse weights. The values equal
+    ``standardize_apply(model.scaler, X) @ model.projection`` bit for bit.
     """
-    Xs = standardize_apply(model.scaler, X)
-    values = np.asarray(Xs @ model.projection)
-    provenance = tuple(
-        (comp.cluster, comp.rank, tuple(int(i) for i, _ in comp.entries))
-        for comp in model.components
+    X = as_matrix(X)
+    model.scaler.check_width(X)
+    columns, weights, means, stds = model._serving
+    out = np.empty((model.n_reduced, X.shape[0]))
+    rows = max(1, _BLOCK_ENTRIES // X.shape[1])
+    for i0 in range(0, X.shape[0], rows):
+        i1 = i0 + rows
+        require_finite(X[i0:i1])
+        block = X[i0:i1].T[columns]
+        block -= means
+        block /= stds
+        out[:, i0:i1] = weights @ block
+    return ReducedMatrix(
+        values=out.T, column_provenance=model.column_provenance
     )
-    return ReducedMatrix(values=values, column_provenance=provenance)
 
 
 def save_model(model: SparcaModel, path):

@@ -318,6 +318,31 @@ class TestEvalCommand:
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, foreign",
+        [
+            (["--input", "x.csv", "--idx-labels", "l.idx"], "--idx-labels"),
+            (
+                ["--idx-images", "i.idx", "--idx-labels", "l.idx",
+                 "--label-col", "-1"],
+                "--label-col",
+            ),
+            (
+                ["--idx-images", "i.idx", "--idx-labels", "l.idx",
+                 "--has-header"],
+                "--has-header",
+            ),
+        ],
+        ids=["idx-labels-with-input", "label-col-with-idx", "header-with-idx"],
+    )
+    def test_flags_of_the_other_source_are_rejected(
+        self, tmp_path, capsys, args, foreign
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", *args, "--out-prefix", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert f"not allowed with argument {foreign}" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_writes_matrix(self, tmp_path):

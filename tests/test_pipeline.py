@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sparca.pipeline
 from sparca.cfcurve import cf_curve
 from sparca.compress import pca_fit
 from sparca.data import standardize_apply
@@ -24,6 +26,29 @@ def block_model():
     X, blocks = block_factor_data(500, seed=0)
     model = fit(X, n_clusters=8, horn_params=HornParams(seed=0))
     return X, blocks, model
+
+
+# Rows per transform block once a test patches the block budget.
+_ROWS = 7
+
+
+@pytest.fixture(scope="module")
+def served_model():
+    """A model whose input has a dropped constant column (index 0) and kept
+    columns that carry no weight, with the model's support columns."""
+    X, _ = block_factor_data(200, n_blocks=4, block_size=12, seed=5)
+    X = np.column_stack([np.full(X.shape[0], 3.0), X])
+    model = fit(X, n_clusters=4, horn_params=HornParams(seed=0))
+    support = {f for c in model.components for f, _ in c.entries}
+    return X, model, sorted(support)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch, served_model):
+    """``served_model`` with ``transform``'s blocks cut to ``_ROWS`` rows."""
+    X = served_model[0]
+    monkeypatch.setattr(sparca.pipeline, "_BLOCK_ENTRIES", _ROWS * X.shape[1])
+    return served_model
 
 
 class TestFit:
@@ -166,6 +191,67 @@ class TestTransform:
         X, _, model = block_model
         with pytest.raises(ValueError, match="columns"):
             transform(model, X[:, :-1])
+
+    def test_provenance_is_shared(self, block_model):
+        X, _, model = block_model
+        first = transform(model, X[:2]).column_provenance
+        assert transform(model, X[:3]).column_provenance is first
+
+    @pytest.mark.parametrize(
+        "rows", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 2]
+    )
+    def test_block_edges_equal_the_reference(self, small_blocks, rows):
+        X, model, _ = small_blocks
+        batch = X[:rows]
+        expected = standardize_apply(model.scaler, batch) @ model.projection
+        assert np.array_equal(transform(model, batch).values, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["dropped", "unweighted", "last_block"])
+    def test_non_finite_anywhere_is_rejected(self, small_blocks, where, bad):
+        X, model, support = small_blocks
+        unweighted = sorted(
+            set(model.scaler.kept_features.tolist()) - set(support)
+        )
+        assert unweighted and 0 not in model.scaler.kept_features
+        row, col = {
+            "dropped": (0, 0),
+            "unweighted": (_ROWS, unweighted[0]),
+            "last_block": (3 * _ROWS + 1, support[-1]),
+        }[where]
+        batch = X[: 3 * _ROWS + 2].copy()
+        batch[row, col] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite"):
+            transform(model, batch)
+
+    def test_int_and_list_inputs(self, small_blocks):
+        X, model, _ = small_blocks
+        ints = np.rint(10.0 * X[: 3 * _ROWS + 2]).astype(np.int64)
+        expected = transform(model, ints.astype(np.float64)).values
+        assert np.array_equal(transform(model, ints).values, expected)
+        assert np.array_equal(transform(model, ints.tolist()).values, expected)
+
+    def test_large_means_and_small_stds(self):
+        X, _ = block_factor_data(300, seed=6)
+        means = 1e6 * (1.0 + np.arange(X.shape[1]) / X.shape[1])
+        X = means + 1e-2 * X
+        model = fit(X, n_clusters=8, horn_params=HornParams(seed=0))
+        dense = standardize_apply(model.scaler, X) @ model.projection.toarray()
+        assert np.abs(transform(model, X).values - dense).max() < 1e-10
+
+    def test_peak_memory_is_the_output_plus_blocks(self):
+        X, _ = block_factor_data(300, n_blocks=12, block_size=12, seed=7)
+        model = fit(X, n_clusters=12, horn_params=HornParams(seed=0))
+        batch, _ = block_factor_data(36000, n_blocks=12, block_size=12, seed=8)
+        transform(model, batch[:1])  # derive the model's serving parts
+        tracemalloc.start()
+        try:
+            values = transform(model, batch).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = 8 * sparca.pipeline._BLOCK_ENTRIES
+        assert peak < values.nbytes + 4 * block_bytes
 
 
 def _feature_not_kept(doc):
