@@ -51,6 +51,13 @@ def _thread_count(text):
     return value
 
 
+def _fraction(text):
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _env_default(parser, name, convert, fallback):
     """``convert($name)``, or ``fallback`` if the variable is unset or empty."""
     text = os.environ.get(name)
@@ -333,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("--idx-images", "--has-header"),
         ("--idx-images", "--label-col"),
     )
-    p.add_argument("--embed-frac", type=float, default=0.3)
-    p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--test-frac", type=float, default=0.2)
+    p.add_argument("--embed-frac", type=_fraction, default=0.3)
+    p.add_argument("--train-frac", type=_fraction, default=0.5)
+    p.add_argument("--test-frac", type=_fraction, default=0.2)
     p.add_argument("--clusters", type=int, default=None,
                    help="cluster count (default: automatic selection)")
     p.add_argument("--variance", type=float, default=0.95)

@@ -24,8 +24,10 @@ class Scaler:
     """Per-feature standardization statistics plus dropped-feature bookkeeping.
 
     ``means`` and ``stds`` cover every original column; ``kept_features``
-    lists the original column indices (strictly increasing) whose standard
-    deviation exceeds :data:`VARIANCE_EPS`.
+    are the columns :func:`standardize_apply` returns, as strictly
+    increasing original indices. A fitted scaler keeps every column whose
+    standard deviation reaches :data:`VARIANCE_EPS`; a model's serving
+    scaler keeps only the columns its components weigh.
     """
 
     means: np.ndarray
@@ -50,8 +52,8 @@ class Scaler:
 
 
 def as_matrix(X, name="X"):
-    """Coerce to a 2-D float64 array with at least one row and one column."""
-    X = np.asarray(X, dtype=np.float64)
+    """``X`` as a 2-D array, dtype kept, with at least one row and column."""
+    X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1:
@@ -59,16 +61,11 @@ def as_matrix(X, name="X"):
     return X
 
 
-def require_finite(X, name="X"):
-    """Raise unless every entry of ``X`` is finite."""
-    if not np.isfinite(X).all():
-        raise ValueError(f"{name} contains NaN or infinite values")
-
-
 def validate_matrix(X, name="X"):
     """Coerce to a 2-D float64 array and reject empty or non-finite input."""
-    X = as_matrix(X, name)
-    require_finite(X, name)
+    X = as_matrix(X, name).astype(np.float64, copy=False)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
     return X
 
 

@@ -9,6 +9,7 @@ classes, stopping once the KKT residual is at most ``KKT_TOL``.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -475,6 +476,8 @@ def profile_runtime(sample_grid, feature_grid, repeats: int = 3, seed: int = 0):
     2x the rank. Medians over ``repeats`` runs per size; slopes are least
     squares fits on log-log points.
     """
+    if not (isinstance(repeats, numbers.Integral) and repeats >= 1):
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     sample_grid = _validate_grid(sample_grid, "sample_grid")
     feature_grid = _validate_grid(feature_grid, "feature_grid")
     sample_fit, sample_cluster = zip(*(

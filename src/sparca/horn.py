@@ -47,8 +47,11 @@ class HornParams:
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), got {seed!r}"
             )
-        if self.n_repeats < 1:
-            raise ValueError("n_repeats must be >= 1")
+        n_repeats = self.n_repeats
+        if not (isinstance(n_repeats, numbers.Integral) and n_repeats >= 1):
+            raise ValueError(
+                f"n_repeats must be an integer >= 1, got {n_repeats!r}"
+            )
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
 

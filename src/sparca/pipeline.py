@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from ._version import __version__
 from .cfcurve import FeatureTree
@@ -25,7 +24,6 @@ from .data import (
     VARIANCE_EPS,
     Scaler,
     as_matrix,
-    require_finite,
     standardize_apply,
     standardize_fit,
     thread_map,
@@ -38,8 +36,8 @@ FORMAT_VERSION = 1
 
 
 # Input entries ``transform`` reads per block of rows: 1 MiB of float64, so
-# that a block's finiteness scan, gathered support columns and product stay in
-# a core's cache.
+# that a block's conversion, finiteness scan, gathered support columns and
+# product stay in a core's cache.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -55,9 +53,9 @@ class SparcaModel:
       column j scatters component j's weights onto its feature rows. Column
       supports from different clusters are disjoint by construction.
     - ``column_provenance``, which every ``transform`` result shares.
-    - What ``transform`` reads per batch: the support (the kept features
-      that carry a weight), its means and stds, and its weights as CSR
-      rows, so serving touches only the support's columns of the batch.
+    - What ``transform`` reads per batch: a scaler whose ``kept_features``
+      are the support (the kept features that carry a weight), and the
+      support's weights as CSR rows.
     """
 
     scaler: Scaler
@@ -80,7 +78,10 @@ class SparcaModel:
         return len(self.components)
 
     @cached_property
-    def projection(self) -> sparse.csc_array:
+    def projection(self):
+        # Imported here so that ``import sparca`` does not load scipy.sparse.
+        from scipy import sparse
+
         position = {int(f): i for i, f in enumerate(self.scaler.kept_features)}
         rows, cols, data = [], [], []
         for j, comp in enumerate(self.components):
@@ -101,20 +102,19 @@ class SparcaModel:
 
     @cached_property
     def _serving(self) -> tuple:
-        """``(columns, weights, means, stds)``: the support's original column
-        indices, increasing; the CSR (n_reduced, len(columns)) transpose of
-        the projection's support rows; the support's means and stds as
-        (len(columns), 1) columns."""
+        """``(scaler, weights)``: the fitted scaler with the support as its
+        ``kept_features``, and the CSR (n_reduced, support size) transpose
+        of the projection's support rows."""
+        from scipy import sparse  # imported here, as in ``projection``
+
         # The projection's CSC indices are sorted within each column, and
         # row selection keeps that order, so every output element sums its
         # terms in the order of ``standardize_apply(X) @ projection``.
         support = np.unique(self.projection.indices)
         columns = self.scaler.kept_features[support]
         return (
-            columns,
+            replace(self.scaler, kept_features=columns),
             sparse.csr_array(self.projection[support].T),
-            self.scaler.means[columns][:, None],
-            self.scaler.stds[columns][:, None],
         )
 
     def transform(self, X) -> "ReducedMatrix":
@@ -223,23 +223,20 @@ def transform(model: SparcaModel, X) -> ReducedMatrix:
     Raises ``ValueError`` unless ``X`` is a matrix of ``model.n_features``
     columns whose every entry is finite, dropped columns included; no
     partial result is returned. ``X`` is read in one pass, in blocks of
-    rows: each block is scanned for finiteness at full width, and only its
-    support columns (the kept features that carry a weight) are gathered,
-    centred, scaled and multiplied by the sparse weights. The values equal
-    ``standardize_apply(model.scaler, X) @ model.projection`` bit for bit.
+    rows, and each block goes through ``standardize_apply`` with the model's
+    serving scaler: only the support columns (the kept features that carry
+    a weight) are standardized and multiplied by the sparse weights. The
+    values equal ``standardize_apply(model.scaler, X) @ model.projection``
+    bit for bit.
     """
     X = as_matrix(X)
     model.scaler.check_width(X)
-    columns, weights, means, stds = model._serving
+    scaler, weights = model._serving
     out = np.empty((model.n_reduced, X.shape[0]))
     rows = max(1, _BLOCK_ENTRIES // X.shape[1])
     for i0 in range(0, X.shape[0], rows):
         i1 = i0 + rows
-        require_finite(X[i0:i1])
-        block = X[i0:i1].T[columns]
-        block -= means
-        block /= stds
-        out[:, i0:i1] = weights @ block
+        out[:, i0:i1] = weights @ standardize_apply(scaler, X[i0:i1]).T
     return ReducedMatrix(
         values=out.T, column_provenance=model.column_provenance
     )

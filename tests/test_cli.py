@@ -252,6 +252,19 @@ class TestProfileCommand:
         assert lines[2] == "axis,size,seconds"
         assert len(lines) == 3 + 8
 
+    def test_zero_repeats_is_reported(self, tmp_path, capsys):
+        out = tmp_path / "runtime.csv"
+        code = main([
+            "profile", "--samples", "60,120,240,480",
+            "--features", "24,48,96,192", "--repeats", "0",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: repeats must be an integer >= 1, got 0" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_artifacts(self, labeled_csv, tmp_path, capsys):
@@ -300,6 +313,23 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "error: n_folds must be between 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.2", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "flag", ["--embed-frac", "--train-frac", "--test-frac"]
+    )
+    def test_fraction_outside_unit_interval_is_a_usage_error(
+        self, labeled_csv, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "eval", "--input", str(labeled_csv), flag, value,
+                "--out-prefix", str(tmp_path / "eval"),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be in (0, 1], got" in err
+        assert not list(tmp_path.iterdir())
 
     def test_requires_input(self, tmp_path):
         with pytest.raises(SystemExit):

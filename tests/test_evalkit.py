@@ -341,6 +341,18 @@ class TestProfileRuntime:
         with pytest.raises(ValueError, match="increasing"):
             profile_runtime([10, 20, 20, 100], [24, 48, 96, 192], repeats=1)
 
+    @pytest.mark.parametrize("repeats", [0, -2, 1.5, 2.0, "3"])
+    def test_repeats_rejected_before_any_fit(self, monkeypatch, repeats):
+        # An empty median would report nan slopes instead of failing.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking repeats")
+
+        monkeypatch.setattr(sparca.evalkit, "_timed_fit", no_fit)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            profile_runtime(
+                [60, 120, 240, 480], [24, 48, 96, 192], repeats=repeats
+            )
+
     def test_smoke(self):
         report = profile_runtime(
             [60, 120, 240, 480], [24, 48, 96, 192], repeats=1, seed=0

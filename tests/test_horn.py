@@ -98,8 +98,10 @@ class TestHornComponents:
         assert horn_components(x, HornParams(percentile=50.0, seed=0)) >= 1
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            HornParams(n_repeats=0)
+        # A float count would fail later, inside the permutation draws.
+        for n_repeats in (0, -1, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="n_repeats must be"):
+                HornParams(n_repeats=n_repeats)
         with pytest.raises(ValueError):
             HornParams(percentile=0.0)
         with pytest.raises(ValueError):
@@ -113,6 +115,9 @@ class TestHornComponents:
             horn_components(x, HornParams(seed=3))
         )
         horn_components(x, HornParams(seed=2**64 - 1))
+        assert horn_components(x, HornParams(n_repeats=np.int64(5))) == (
+            horn_components(x, HornParams(n_repeats=5))
+        )
 
     @pytest.mark.parametrize(
         "trials, n_cols, n_rows",

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,23 @@ class TestTransform:
         block_bytes = 8 * sparca.pipeline._BLOCK_ENTRIES
         assert peak < values.nbytes + 4 * block_bytes
 
+    def test_integer_batch_is_converted_one_block_at_a_time(self):
+        # A uint8 batch converted whole to float64 would take 8x its size.
+        X, _ = block_factor_data(300, n_blocks=12, block_size=12, seed=7)
+        model = fit(X, n_clusters=12, horn_params=HornParams(seed=0))
+        batch, _ = block_factor_data(36000, n_blocks=12, block_size=12, seed=8)
+        pixels = np.clip(np.rint(40.0 * batch + 128.0), 0, 255).astype(np.uint8)
+        expected = transform(model, pixels.astype(np.float64)).values
+        tracemalloc.start()
+        try:
+            values = transform(model, pixels).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = 8 * sparca.pipeline._BLOCK_ENTRIES
+        assert peak < values.nbytes + 4 * block_bytes
+        assert np.array_equal(values, expected)
+
 
 def _feature_not_kept(doc):
     doc["components"][0]["entries"][0][0] = len(doc["scaler"]["means"])
@@ -417,3 +438,13 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="malformed"):
             load_model(path)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, sparca; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(sparca.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
