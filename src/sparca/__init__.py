@@ -9,7 +9,7 @@ supports.
 """
 
 from ._version import __version__
-from .cfcurve import CfCurve, cf_curve, default_grid, select_clusters
+from .cfcurve import CfCurve, cf_curve, default_grid
 from .cluster import (
     ClusterAssignment,
     Linkage,
@@ -60,7 +60,6 @@ __all__ = [
     "omp_fit",
     "pca_fit",
     "save_model",
-    "select_clusters",
     "standardize_apply",
     "standardize_fit",
     "transform",

@@ -5,8 +5,9 @@ component counts traces a characteristic curve: rapid growth, a near-flat
 plateau, then a unit-slope tail where every extra cluster contributes exactly
 one feature. The recommended cluster count sits at the minimum of the
 first derivative smoothed over ``SMOOTHING_WINDOW`` grid points, i.e. the
-start of the plateau. ``cf_curve``, ``FeatureTree.curve`` and ``fit`` with
-automatic selection all apply this one rule.
+start of the plateau. ``CfCurve.selected`` is the rule's only entry point:
+``cf_curve``, ``FeatureTree.curve`` and ``fit`` with automatic selection all
+read it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class CfCurve:
 
     ``derivative`` holds the finite-difference slope at every grid point
     (central in the interior, one-sided at the ends); ``selected`` is the
-    recommended cluster count.
+    recommended cluster count, the first grid value when the grid has fewer
+    than three points.
     """
 
     n_clusters: np.ndarray
@@ -89,17 +91,6 @@ def _plateau_start(ks, deriv):
         lo = min(max(i - half, 0), deriv.size - width)
         smoothed[i] = deriv[lo : lo + width].mean()
     return int(ks[int(np.argmin(smoothed))])
-
-
-def select_clusters(curve: CfCurve) -> int:
-    """Grid value minimizing the smoothed derivative (ties: smallest count).
-
-    This locates the smallest cluster count that reaches the plateau of the
-    curve. Requires at least three grid points.
-    """
-    if curve.n_clusters.size < 3:
-        raise ValueError("need at least 3 grid points to select")
-    return _plateau_start(curve.n_clusters, curve.derivative)
 
 
 def default_grid(n_features: int):

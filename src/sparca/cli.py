@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Subcommands: fit, transform, cf-curve, profile, eval, synth. Numeric outputs
-are CSV files; models are versioned JSON. Every command is deterministic
-given ``--seed`` (env default ``SPARCA_SEED``); ``--threads`` caps library
-parallelism (env default ``SPARCA_THREADS``).
+are CSV files; models are versioned JSON. Every command is deterministic.
+``fit``, ``cf-curve``, ``profile``, ``eval`` and ``synth`` draw from
+``--seed`` (env default ``SPARCA_SEED``). ``fit``, ``cf-curve`` and ``eval``
+take ``--threads``, the worker thread cap (env default ``SPARCA_THREADS``),
+which does not change their results. ``transform`` takes neither.
 """
 
 from __future__ import annotations
@@ -67,19 +69,15 @@ def _env_default(parser, name, convert, fallback):
         parser.error(f"invalid ${name}={text!r}: {exc}")
 
 
-def _add_common(parser, seed, threads):
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=seed,
-        help="base random seed (default: $SPARCA_SEED or 0)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=threads,
-        help="worker thread cap (default: $SPARCA_THREADS or core count)",
-    )
+def _add_seed(parser, seed):
+    parser.add_argument("--seed", type=int, default=seed,
+                        help="base random seed (default: $SPARCA_SEED or 0)")
+
+
+def _add_threads(parser, threads):
+    parser.add_argument("--threads", type=_thread_count, default=threads,
+                        help="worker thread cap "
+                             "(default: $SPARCA_THREADS or core count)")
 
 
 def _add_input(parser):
@@ -87,10 +85,6 @@ def _add_input(parser):
     parser.add_argument(
         "--has-header", action="store_true", help="skip one header row"
     )
-
-
-def _horn_params(args):
-    return HornParams(seed=args.seed)
 
 
 def _int_list(text):
@@ -107,7 +101,7 @@ def cmd_fit(args) -> int:
         X,
         n_clusters=args.clusters,
         variance_threshold=args.variance,
-        horn_params=_horn_params(args),
+        horn_params=HornParams(seed=args.seed),
         n_threads=args.threads,
     )
     if args.clusters is None:
@@ -150,7 +144,7 @@ def cmd_cf_curve(args) -> int:
     curve = cf_curve(
         X,
         grid=grid,
-        horn_params=_horn_params(args),
+        horn_params=HornParams(seed=args.seed),
         n_threads=args.threads,
     )
     rows = np.column_stack(
@@ -209,7 +203,7 @@ def cmd_eval(args) -> int:
     embed_idx, train_idx, test_idx = evalkit.stratified_split(
         y, sizes, seed=args.seed
     )
-    horn = _horn_params(args)
+    horn = HornParams(seed=args.seed)
     sparca_model = fit(
         X[embed_idx],
         n_clusters=args.clusters,
@@ -295,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")
-    _add_common(p, seed, threads)
+    _add_seed(p, seed)
+    _add_threads(p, threads)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("transform", help="apply a fitted model to a CSV matrix")
     _add_input(p)
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="reduced CSV output path")
-    _add_common(p, seed, threads)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("cf-curve", help="trace the cluster-feature curve")
@@ -310,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma-separated cluster counts (default: geometric)")
     p.add_argument("--out", required=True, help="curve CSV output path")
-    _add_common(p, seed, threads)
+    _add_seed(p, seed)
+    _add_threads(p, threads)
     p.set_defaults(func=cmd_cf_curve)
 
     p = sub.add_parser("profile", help="measure fit runtime scaling")
@@ -320,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature-axis grid (samples fixed at 50)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="timing CSV output path")
-    _add_common(p, seed, threads)
+    _add_seed(p, seed)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -351,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise levels in standardized units")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the emitted CSV artifacts")
-    _add_common(p, seed, threads)
+    _add_seed(p, seed)
+    _add_threads(p, threads)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic low-rank matrix")
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True,
                    help="target effective rank")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_common(p, seed, threads)
+    _add_seed(p, seed)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -43,13 +44,6 @@ class Scaler:
     def n_kept(self) -> int:
         return int(self.kept_features.size)
 
-    def check_width(self, X):
-        """Raise unless ``X`` has the fitted feature count of columns."""
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} columns, got {X.shape[1]}"
-            )
-
 
 def as_matrix(X, name="X"):
     """``X`` as a 2-D array, dtype kept, with at least one row and column."""
@@ -62,8 +56,12 @@ def as_matrix(X, name="X"):
 
 
 def validate_matrix(X, name="X"):
-    """Coerce to a 2-D float64 array and reject empty or non-finite input."""
-    X = as_matrix(X, name).astype(np.float64, copy=False)
+    """Coerce to a 2-D float64 array and reject empty, complex or non-finite
+    input."""
+    X = as_matrix(X, name)
+    if np.iscomplexobj(X):
+        raise ValueError(f"{name} must be real, got dtype {X.dtype}")
+    X = X.astype(np.float64, copy=False)
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return X
@@ -102,11 +100,16 @@ def standardize_apply(scaler: Scaler, X):
     """Center and scale the kept columns of ``X`` with fitted statistics.
 
     Returns an array with ``scaler.n_kept`` columns in original column order.
-    The gathered copy is centred and scaled in place, so a call allocates one
-    array of the result's size, not three.
+    ``X`` must have the fitted feature count of columns, checked before it
+    is converted or scanned. The gathered copy is centred and scaled in
+    place, so a call allocates one array of the result's size, not three.
     """
+    X = as_matrix(X)
+    if X.shape[1] != scaler.n_features:
+        raise ValueError(
+            f"expected {scaler.n_features} columns, got {X.shape[1]}"
+        )
     X = validate_matrix(X)
-    scaler.check_width(X)
     kept = scaler.kept_features
     Xs = X[:, kept]
     Xs -= scaler.means[kept]
@@ -177,20 +180,35 @@ def write_csv(X, path, comments=(), header=None):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _open_maybe_gzip(path):
-    fh = open(path, "rb")
-    magic = fh.read(2)
-    fh.seek(0)
-    if magic == b"\x1f\x8b":
-        return gzip.open(fh)
-    return fh
+def _read_idx(path, magic, n_dims, what):
+    """The uint8 array an IDX file of ``n_dims`` dimensions holds.
 
-
-def _read_exact(fh, count, path, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise ValueError(f"{path}: truncated file while reading {what}")
-    return buf
+    The whole file is read, and gunzipped if it is gzip-compressed, before
+    its header is trusted, so a header that claims more bytes than the file
+    holds is rejected without allocating the claimed size. Bytes past the
+    claimed size are ignored.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+    start = 4 * (1 + n_dims)
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated file while reading {what} header")
+    found, *shape = struct.unpack_from(f">{1 + n_dims}i", data)
+    if found != magic:
+        raise ValueError(
+            f"{path}: bad magic {found:#010x}, expected {what}s file"
+        )
+    if min(shape) < 0:
+        raise ValueError(f"{path}: negative dimension in {what} header")
+    count = math.prod(shape)
+    if len(data) - start < count:
+        raise ValueError(
+            f"{path}: truncated file while reading {what} data: the header "
+            f"claims {count} bytes, the file holds {len(data) - start}"
+        )
+    return np.frombuffer(data, np.uint8, count, start).reshape(shape)
 
 
 def load_idx(images_path, labels_path):
@@ -200,29 +218,12 @@ def load_idx(images_path, labels_path):
     values in [0, 255]; gzip-compressed files are handled transparently.
     Returns ``(matrix, labels)``.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic, count, n_rows, n_cols = struct.unpack(
-            ">iiii", _read_exact(fh, 16, images_path, "image header")
-        )
-        if magic != _IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"{images_path}: bad magic {magic:#010x}, expected images file"
-            )
-        n_pixels = n_rows * n_cols
-        raw = _read_exact(fh, count * n_pixels, images_path, "image data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, n_pixels)
-    with _open_maybe_gzip(labels_path) as fh:
-        magic, label_count = struct.unpack(
-            ">ii", _read_exact(fh, 8, labels_path, "label header")
-        )
-        if magic != _IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"{labels_path}: bad magic {magic:#010x}, expected labels file"
-            )
-        raw = _read_exact(fh, label_count, labels_path, "label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if label_count != count:
+    images = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "image")
+    labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "label")
+    count, n_rows, n_cols = images.shape
+    if labels.size != count:
         raise ValueError(
-            f"label count {label_count} does not match image count {count}"
+            f"label count {labels.size} does not match image count {count}"
         )
-    return images.astype(np.float64), labels
+    X = images.reshape(count, n_rows * n_cols).astype(np.float64)
+    return X, labels.astype(np.int64)

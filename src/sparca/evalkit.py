@@ -142,8 +142,8 @@ def l1_logreg_fit(
     n, p = X.shape
     if y.size != n:
         raise ValueError("label count does not match sample count")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam < np.inf):
+        raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
     n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes)
     if n_classes < 2 or (counts == 0).any():
@@ -233,6 +233,8 @@ def stratified_split(y, sizes, seed: int = 0):
     """
     y = np.asarray(y, dtype=np.int64).ravel()
     sizes = [int(s) for s in sizes]
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"split sizes must be >= 0, got {sizes}")
     if sum(sizes) > y.size:
         raise ValueError("requested split exceeds available samples")
     rng = np.random.default_rng(seed)
@@ -354,7 +356,6 @@ class PcaBaseline:
 
     @classmethod
     def fit(cls, X, horn_params: HornParams | None = None) -> "PcaBaseline":
-        X = validate_matrix(X)
         scaler = standardize_fit(X)
         Xs = standardize_apply(scaler, X)
         h = horn_components(Xs, horn_params or HornParams())
@@ -393,6 +394,8 @@ def noise_robustness(
     """
     if len(dr_models) != len(clf_models):
         raise ValueError("model lists must be aligned")
+    if not dr_models:
+        raise ValueError("need at least one model")
     X_test = validate_matrix(X_test)
     y_test = np.asarray(y_test, dtype=np.int64).ravel()
     scaler = dr_models[0].scaler

@@ -52,8 +52,9 @@ class HornParams:
             raise ValueError(
                 f"n_repeats must be an integer >= 1, got {n_repeats!r}"
             )
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValueError("percentile must be in (0, 100]")
+        p = self.percentile
+        if not (isinstance(p, numbers.Real) and 0.0 < p <= 100.0):
+            raise ValueError(f"percentile must be in (0, 100], got {p!r}")
 
 
 def _mix64(z):

@@ -8,6 +8,7 @@ requested threshold or the usable dictionary is exhausted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,9 @@ def omp_fit(
         raise ValueError("target length does not match dictionary rows")
     if not np.isfinite(t).all():
         raise ValueError("target contains NaN or infinite values")
-    if not 0.0 < variance_threshold <= 1.0:
-        raise ValueError("variance_threshold must be in (0, 1]")
+    v = variance_threshold
+    if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+        raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
     centered = t - t.mean()
     denom = float(centered @ centered)
     if denom <= 0.0:

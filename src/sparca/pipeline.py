@@ -181,10 +181,9 @@ def fit(
     SparcaModel
     """
     X = validate_matrix(X)
-    if horn_params is None:
-        horn_params = HornParams()
-    if not 0.0 < variance_threshold <= 1.0:
-        raise ValueError("variance_threshold must be in (0, 1]")
+    v = variance_threshold
+    if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+        raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
     if n_clusters is not None and not isinstance(n_clusters, numbers.Integral):
         raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
     if X.shape[0] < 2:
@@ -211,7 +210,7 @@ def fit(
     return SparcaModel(
         scaler=scaler,
         variance_threshold=variance_threshold,
-        horn_params=horn_params,
+        horn_params=tree.horn_params,
         assignment=ClusterAssignment.from_groups(groups),
         components=tuple(comp for comps in per_cluster for comp in comps),
     )
@@ -220,17 +219,17 @@ def fit(
 def transform(model: SparcaModel, X) -> ReducedMatrix:
     """Standardize ``X`` with the fitted scaler and project it.
 
-    Raises ``ValueError`` unless ``X`` is a matrix of ``model.n_features``
-    columns whose every entry is finite, dropped columns included; no
-    partial result is returned. ``X`` is read in one pass, in blocks of
-    rows, and each block goes through ``standardize_apply`` with the model's
-    serving scaler: only the support columns (the kept features that carry
-    a weight) are standardized and multiplied by the sparse weights. The
-    values equal ``standardize_apply(model.scaler, X) @ model.projection``
+    Raises ``ValueError`` unless ``X`` is a real matrix of
+    ``model.n_features`` columns whose every entry is finite, dropped
+    columns included; no partial result is returned. ``X`` is read in one
+    pass, in blocks of rows, and each block goes through
+    ``standardize_apply`` with the model's serving scaler: only the support
+    columns (the kept features that carry a weight) are standardized and
+    multiplied by the sparse weights. The values equal
+    ``standardize_apply(model.scaler, X) @ model.projection``
     bit for bit.
     """
     X = as_matrix(X)
-    model.scaler.check_width(X)
     scaler, weights = model._serving
     out = np.empty((model.n_reduced, X.shape[0]))
     rows = max(1, _BLOCK_ENTRIES // X.shape[1])

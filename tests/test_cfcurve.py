@@ -3,7 +3,7 @@ import pytest
 
 import sparca.cfcurve
 import sparca.pipeline
-from sparca.cfcurve import CfCurve, cf_curve, default_grid, select_clusters
+from sparca.cfcurve import CfCurve, cf_curve, default_grid
 from sparca.cluster import _cut_groups, feature_distances, ward_linkage
 from sparca.data import standardize_apply, standardize_fit
 from sparca.horn import HornParams, horn_components
@@ -18,7 +18,6 @@ class TestSelectClusters:
         curve = CfCurve.from_points(
             [2, 4, 6, 8, 10, 12], [8, 8, 8, 8, 10, 12]
         )
-        assert select_clusters(curve) == 2
         assert curve.selected == 2
 
     def test_monotone_decreasing_slope(self):
@@ -26,12 +25,7 @@ class TestSelectClusters:
         # and the anchored smoothing window ties the last two points, so the
         # smallest of them (the last interior point) wins
         curve = CfCurve.from_points([1, 2, 3, 4, 5], [0, 10, 17, 21, 23])
-        assert select_clusters(curve) == 4
-
-    def test_too_few_points(self):
-        curve = CfCurve.from_points([1, 5], [3, 5])
-        with pytest.raises(ValueError, match="3 grid points"):
-            select_clusters(curve)
+        assert curve.selected == 4
 
     def test_derivative_stencil(self):
         curve = CfCurve.from_points([1, 2, 4, 8], [1, 3, 4, 12])

@@ -154,19 +154,21 @@ class TestEnvironmentDefaults:
          ("SPARCA_THREADS", "0")],
     )
     def test_bad_value_is_a_usage_error(
-        self, tmp_path, capsys, monkeypatch, name, value
+        self, block_csv, tmp_path, capsys, monkeypatch, name, value
     ):
         monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "synth", "--samples", "5", "--features", "4", "--rank", "2",
-                "--out", str(tmp_path / "s.csv"),
+                "fit", "--input", str(block_csv), "--clusters", "2",
+                "--out", str(tmp_path / "m.json"),
             ])
         assert excinfo.value.code == 2
         assert f"invalid ${name}={value!r}" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "m.json").exists()
 
-    def test_valid_values_become_defaults(self, tmp_path, monkeypatch):
+    def test_valid_values_become_defaults(
+        self, block_csv, tmp_path, monkeypatch
+    ):
         monkeypatch.setenv("SPARCA_SEED", "7")
         monkeypatch.setenv("SPARCA_THREADS", "3")
         seen = {}
@@ -175,12 +177,34 @@ class TestEnvironmentDefaults:
             seen.update(seed=args.seed, threads=args.threads)
             return 0
 
-        monkeypatch.setattr(sparca.cli, "cmd_synth", record)
+        monkeypatch.setattr(sparca.cli, "cmd_fit", record)
         assert main([
-            "synth", "--samples", "5", "--features", "4", "--rank", "2",
-            "--out", str(tmp_path / "s.csv"),
+            "fit", "--input", str(block_csv), "--out", str(tmp_path / "m.json"),
         ]) == 0
         assert seen == {"seed": 7, "threads": 3}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["transform", "--input", "x.csv", "--model", "m.json"], "--seed"),
+        (["transform", "--input", "x.csv", "--model", "m.json"], "--threads"),
+        (["synth", "--samples", "5", "--features", "4", "--rank", "2"],
+         "--threads"),
+        (["profile", "--repeats", "0"], "--threads"),
+    ],
+    ids=["transform-seed", "transform-threads", "synth-threads",
+         "profile-threads"],
+)
+def test_flags_a_command_does_not_read_are_rejected(
+    tmp_path, capsys, argv, flag
+):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(out), flag, "2"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTransform:

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,10 +77,24 @@ class TestStandardize:
         with pytest.raises(ValueError, match="columns"):
             standardize_apply(scaler, X[:, :3])
 
+    def test_width_is_checked_before_the_values(self):
+        X = np.random.default_rng(0).standard_normal((10, 4))
+        scaler = standardize_fit(X)
+        bad = X[:, :3].copy()
+        bad[0, 0] = np.nan
+        for batch in (bad, bad.astype(complex)):
+            with pytest.raises(ValueError, match="expected 4 columns, got 3"):
+                standardize_apply(scaler, batch)
+
     def test_non_finite_rejected(self):
         X = np.ones((3, 2))
         X[1, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
+            validate_matrix(X)
+
+    def test_complex_rejected(self):
+        X = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="X must be real, got dtype"):
             validate_matrix(X)
 
 
@@ -207,3 +222,50 @@ class TestIdx:
         )
         with pytest.raises(ValueError, match="truncated"):
             load_idx(img, lbl)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_header_claiming_more_than_the_file_holds(
+        self, tmp_path, compress
+    ):
+        # 2**16 images of 28 x 28 claimed, one image present: rejected
+        # without allocating the 51 MB the header claims.
+        img, lbl = _write_idx_pair(
+            tmp_path, np.zeros((1, 28, 28)), [0], compress=compress
+        )
+        _rewrite_header(img, ">iiii", 2051, 2**16, 28, 28)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated") as excinfo:
+                load_idx(img, lbl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(img) in str(excinfo.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "header", [(-1, -28, 28), (1, -28, 28), (1, 28, -28)]
+    )
+    def test_negative_image_dimension(self, tmp_path, header):
+        img, lbl = _write_idx_pair(tmp_path, np.zeros((1, 28, 28)), [0])
+        _rewrite_header(img, ">iiii", 2051, *header)
+        with pytest.raises(ValueError, match="negative dimension") as excinfo:
+            load_idx(img, lbl)
+        assert str(img) in str(excinfo.value)
+
+    def test_negative_label_count(self, tmp_path):
+        img, lbl = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        _rewrite_header(lbl, ">ii", 2049, -1)
+        with pytest.raises(ValueError, match="negative dimension") as excinfo:
+            load_idx(img, lbl)
+        assert str(lbl) in str(excinfo.value)
+
+
+def _rewrite_header(path, fmt, *fields):
+    """Overwrite the header of an IDX file written by ``_write_idx_pair``."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rb") as fh:
+        data = bytearray(fh.read())
+    struct.pack_into(fmt, data, 0, *fields)
+    with opener(path, "wb") as fh:
+        fh.write(bytes(data))

@@ -227,6 +227,13 @@ class TestL1LogReg:
         with pytest.raises(ValueError, match="2 classes"):
             l1_logreg_fit(X, np.array([0, 0, 2, 2, 2]), 0.1)
 
+    def test_bad_lambda_rejected(self):
+        X = np.random.default_rng(5).standard_normal((20, 3))
+        y = np.arange(20) % 2
+        for lam in (-0.1, "0.1", float("nan"), float("inf"), None):
+            with pytest.raises(ValueError, match="lam must be"):
+                l1_logreg_fit(X, y, lam)
+
     def test_protocol_constant_in_grid(self):
         # the small-sample protocol fixes the penalty at 0.1
         assert np.isclose(DEFAULT_LAMBDA_GRID, 0.1).any()
@@ -254,6 +261,15 @@ class TestSplitsAndSelection:
         y[5:] = 1
         with pytest.raises(ValueError, match="exceeds"):
             stratified_split(y, (8, 8), seed=0)
+
+    def test_stratified_split_negative_size(self, monkeypatch):
+        def no_shuffle(*args):
+            raise AssertionError("shuffled before rejecting the sizes")
+
+        monkeypatch.setattr(np.random, "default_rng", no_shuffle)
+        for sizes in ([-5], [10, -1]):
+            with pytest.raises(ValueError, match="sizes must be >= 0"):
+                stratified_split(np.arange(60) % 2, sizes)
 
     def test_select_lambda_returns_grid_member(self):
         rng = np.random.default_rng(6)
@@ -321,6 +337,11 @@ class TestNoiseRobustness:
         X_test, y_test, drs, clfs = setup
         with pytest.raises(ValueError, match="aligned"):
             noise_robustness(drs, clfs[:1], X_test, y_test, [0.0])
+
+    def test_empty_model_lists_rejected(self, setup):
+        X_test, y_test, _, _ = setup
+        with pytest.raises(ValueError, match="at least one model"):
+            noise_robustness([], [], X_test, y_test, [0.0])
 
 
 class TestPcaBaseline:

@@ -106,6 +106,9 @@ class TestHornComponents:
             HornParams(percentile=0.0)
         with pytest.raises(ValueError):
             HornParams(percentile=101.0)
+        for percentile in ("50", float("nan"), None):
+            with pytest.raises(ValueError, match="percentile must be"):
+                HornParams(percentile=percentile)
         # The seed is hashed as a uint64.
         for seed in (-1, 2**64, 1.5, "3", np.int64(-2)):
             with pytest.raises(ValueError, match="seed must be an integer"):

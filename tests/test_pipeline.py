@@ -132,6 +132,17 @@ class TestFit:
         with pytest.raises(ValueError, match="out of range"):
             fit(X, n_clusters=0)
 
+    def test_variance_threshold_validation(self):
+        X = np.random.default_rng(1).standard_normal((20, 5))
+        for threshold in ("0.9", float("nan"), 0.0, 1.5):
+            with pytest.raises(ValueError, match="variance_threshold must"):
+                fit(X, n_clusters=2, variance_threshold=threshold)
+
+    def test_complex_input_rejected(self):
+        X = np.random.default_rng(1).standard_normal((20, 5))
+        with pytest.raises(ValueError, match="X must be real"):
+            fit(X.astype(complex), n_clusters=2)
+
     def test_projection_and_cluster_count_are_derived(self, block_model):
         _, _, model = block_model
         assert {f.name for f in dataclasses.fields(model)} == {
@@ -227,6 +238,11 @@ class TestTransform:
         batch[row, col] = bad
         with pytest.raises(ValueError, match="X contains NaN or infinite"):
             transform(model, batch)
+
+    def test_complex_batch_rejected(self, small_blocks):
+        X, model, _ = small_blocks
+        with pytest.raises(ValueError, match="X must be real"):
+            transform(model, X[: 3 * _ROWS + 2].astype(complex))
 
     def test_int_and_list_inputs(self, small_blocks):
         X, model, _ = small_blocks
