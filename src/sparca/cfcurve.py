@@ -12,6 +12,7 @@ read it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,6 +122,10 @@ class FeatureTree:
     """
 
     def __init__(self, X, horn_params=None, n_threads=None):
+        if not isinstance(n_threads, (numbers.Integral, type(None))):
+            raise ValueError(
+                f"n_threads must be an integer, got {n_threads!r}"
+            )
         if n_threads is not None and n_threads < 1:
             raise ValueError(f"n_threads must be at least 1, got {n_threads}")
         self.horn_params = horn_params or HornParams()

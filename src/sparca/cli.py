@@ -4,8 +4,11 @@ Subcommands: fit, transform, cf-curve, profile, eval, synth. Numeric outputs
 are CSV files; models are versioned JSON. Every command is deterministic.
 ``fit``, ``cf-curve``, ``profile``, ``eval`` and ``synth`` draw from
 ``--seed`` (env default ``SPARCA_SEED``). ``fit``, ``cf-curve`` and ``eval``
-take ``--threads``, the worker thread cap (env default ``SPARCA_THREADS``),
-which does not change their results. ``transform`` takes neither.
+take ``--threads``, the worker thread cap (env default ``SPARCA_THREADS``,
+else the core count), which does not change their results. ``transform``
+takes neither. A variable is read after the arguments are parsed, only by a
+command that takes its flag and only when the flag is not given, so a bad
+value stops only such a command.
 """
 
 from __future__ import annotations
@@ -60,22 +63,30 @@ def _fraction(text):
     return value
 
 
-def _env_default(parser, name, convert, fallback):
-    """``convert($name)``, or ``fallback`` if the variable is unset or empty."""
-    text = os.environ.get(name)
-    try:
-        return convert(text) if text else fallback
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        parser.error(f"invalid ${name}={text!r}: {exc}")
+def _apply_env_defaults(parser, args):
+    """Set each flag the command takes but was not given from its variable,
+    if that is set; a bad value is a usage error. A ``threads`` of None
+    leaves the core count to ``data.thread_map``."""
+    for attr, name, convert, fallback in (
+        ("seed", "SPARCA_SEED", int, 0),
+        ("threads", "SPARCA_THREADS", _thread_count, None),
+    ):
+        if attr not in vars(args) or getattr(args, attr) is not None:
+            continue
+        text = os.environ.get(name)
+        try:
+            setattr(args, attr, convert(text) if text else fallback)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"invalid ${name}={text!r}: {exc}")
 
 
-def _add_seed(parser, seed):
-    parser.add_argument("--seed", type=int, default=seed,
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int,
                         help="base random seed (default: $SPARCA_SEED or 0)")
 
 
-def _add_threads(parser, threads):
-    parser.add_argument("--threads", type=_thread_count, default=threads,
+def _add_threads(parser):
+    parser.add_argument("--threads", type=_thread_count,
                         help="worker thread cap "
                              "(default: $SPARCA_THREADS or core count)")
 
@@ -243,10 +254,8 @@ def cmd_eval(args) -> int:
         sigmas,
         seed=args.seed,
     )
-    with open(f"{args.out_prefix}_noise.csv", "w", encoding="utf-8") as fh:
-        fh.write("sigma,sparca_accuracy,pca_accuracy\n")
-        for sigma, (acc_s, acc_p) in zip(sigmas, table):
-            fh.write(f"{float(sigma)!r},{float(acc_s)!r},{float(acc_p)!r}\n")
+    write_csv(np.column_stack([sigmas, table]), f"{args.out_prefix}_noise.csv",
+              header=["sigma", "sparca_accuracy", "pca_accuracy"])
     print(
         f"wrote {args.out_prefix}_accuracy.csv and {args.out_prefix}_noise.csv"
     )
@@ -274,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "agglomeration, per-cluster PCA, and orthogonal matching pursuit.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    seed = _env_default(parser, "SPARCA_SEED", int, 0)
-    threads = _env_default(
-        parser, "SPARCA_THREADS", _thread_count, os.cpu_count() or 1
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model from a CSV matrix")
@@ -289,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", type=float, default=0.95,
                    help="minimum recovered variance per component")
     p.add_argument("--out", required=True, help="model JSON output path")
-    _add_seed(p, seed)
-    _add_threads(p, threads)
+    _add_seed(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("transform", help="apply a fitted model to a CSV matrix")
@@ -304,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma-separated cluster counts (default: geometric)")
     p.add_argument("--out", required=True, help="curve CSV output path")
-    _add_seed(p, seed)
-    _add_threads(p, threads)
+    _add_seed(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_cf_curve)
 
     p = sub.add_parser("profile", help="measure fit runtime scaling")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature-axis grid (samples fixed at 50)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="timing CSV output path")
-    _add_seed(p, seed)
+    _add_seed(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -346,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise levels in standardized units")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the emitted CSV artifacts")
-    _add_seed(p, seed)
-    _add_threads(p, threads)
+    _add_seed(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic low-rank matrix")
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True,
                    help="target effective rank")
     p.add_argument("--out", required=True, help="CSV output path")
-    _add_seed(p, seed)
+    _add_seed(p)
     p.set_defaults(func=cmd_synth)
     return parser
 
@@ -364,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _apply_env_defaults(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -120,8 +120,8 @@ def ward_linkage(d, m: int) -> Linkage:
         raise ValueError(
             f"condensed array has {d.size} entries, expected {m * (m - 1) // 2}"
         )
-    if not np.isfinite(d).all() or (d < 0).any():
-        raise ValueError("distances must be finite and non-negative")
+    if (d < 0).any():  # linkage itself rejects non-finite distances
+        raise ValueError("distances must be non-negative")
     Z = linkage(d, method="ward")
     return Linkage(
         left=Z[:, 0].astype(np.int64),

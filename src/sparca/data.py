@@ -7,6 +7,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -186,12 +187,16 @@ def _read_idx(path, magic, n_dims, what):
     The whole file is read, and gunzipped if it is gzip-compressed, before
     its header is trusted, so a header that claims more bytes than the file
     holds is rejected without allocating the claimed size. Bytes past the
-    claimed size are ignored.
+    claimed size are ignored. Gzip data that is cut short or corrupted is a
+    ``ValueError`` naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: bad gzip data ({exc})") from exc
     start = 4 * (1 + n_dims)
     if len(data) < start:
         raise ValueError(f"{path}: truncated file while reading {what} header")

@@ -330,10 +330,12 @@ def downstream_eval(
 ):
     """Train/validate a classifier on reduced features; score on the test set.
 
-    Returns ``(test_accuracy, classifier, best_lambda)``.
+    ``dr_model`` is any reducer with ``transform(X) -> ReducedMatrix``, such
+    as a ``SparcaModel`` or a ``PcaBaseline``; the classifier reads the
+    result's ``values``. Returns ``(test_accuracy, classifier, best_lambda)``.
     """
-    R_train = reduced_values(dr_model, X_train)
-    R_test = reduced_values(dr_model, X_test)
+    R_train = dr_model.transform(X_train).values
+    R_test = dr_model.transform(X_test).values
     best_lambda, _ = select_lambda(
         R_train, y_train, lambdas=lambdas, n_folds=n_folds, seed=seed
     )
@@ -366,16 +368,13 @@ class PcaBaseline:
     def n_reduced(self) -> int:
         return self.loadings.shape[1]
 
-    def transform(self, X):
-        return standardize_apply(self.scaler, X) @ self.loadings
-
-
-def reduced_values(dr_model, X):
-    """Reduced feature matrix from any model exposing ``transform``."""
-    out = dr_model.transform(X)
-    if isinstance(out, ReducedMatrix):
-        return out.values
-    return np.asarray(out)
+    def transform(self, X) -> ReducedMatrix:
+        """Component j's provenance is ``(0, j, kept features)``."""
+        kept = tuple(self.scaler.kept_features.tolist())
+        return ReducedMatrix(
+            standardize_apply(self.scaler, X) @ self.loadings,
+            tuple((0, j, kept) for j in range(self.n_reduced)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +386,12 @@ def noise_robustness(
 ):
     """Accuracy of each (reducer, classifier) pair under added Gaussian noise.
 
-    Noise is i.i.d. per feature with standard deviation ``sigma`` in
-    standardized units; the same realization is shared by every model at a
-    given sigma so comparisons are paired. Returns an array of shape
-    (len(sigmas), len(dr_models)).
+    Each reducer has ``transform(X) -> ReducedMatrix`` and a ``scaler``; the
+    classifiers read the reduced ``values``. Noise is i.i.d. per feature
+    with standard deviation ``sigma`` in standardized units, scaled by the
+    first reducer's ``scaler.stds``; the same realization is shared by every
+    model at a given sigma so comparisons are paired. Returns an array of
+    shape (len(sigmas), len(dr_models)).
     """
     if len(dr_models) != len(clf_models):
         raise ValueError("model lists must be aligned")
@@ -406,7 +407,7 @@ def noise_robustness(
         noise = rng.standard_normal(X_test.shape) if sigma else 0.0
         X_noisy = X_test + float(sigma) * noise * scale
         for mi, (dr, clf) in enumerate(zip(dr_models, clf_models)):
-            pred, _ = l1_logreg_predict(clf, reduced_values(dr, X_noisy))
+            pred, _ = l1_logreg_predict(clf, dr.transform(X_noisy).values)
             table[si, mi] = float(np.mean(pred == y_test))
     return table
 

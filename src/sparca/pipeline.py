@@ -9,6 +9,7 @@ projection matrix applied at transform time.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -55,7 +56,7 @@ class SparcaModel:
     - ``column_provenance``, which every ``transform`` result shares.
     - What ``transform`` reads per batch: a scaler whose ``kept_features``
       are the support (the kept features that carry a weight), and the
-      support's weights as CSR rows.
+      support's weights as CSR rows, built without the projection.
     """
 
     scaler: Scaler
@@ -82,15 +83,11 @@ class SparcaModel:
         # Imported here so that ``import sparca`` does not load scipy.sparse.
         from scipy import sparse
 
-        position = {int(f): i for i, f in enumerate(self.scaler.kept_features)}
-        rows, cols, data = [], [], []
-        for j, comp in enumerate(self.components):
-            for feature, weight in comp.entries:
-                rows.append(position[feature])
-                cols.append(j)
-                data.append(weight)
+        served, weights = self._serving
+        rows = np.searchsorted(self.scaler.kept_features, served.kept_features)
         return sparse.csc_array(
-            (data, (rows, cols)), shape=(self.scaler.n_kept, self.n_reduced)
+            (weights.data, rows[weights.indices], weights.indptr),
+            shape=(self.scaler.n_kept, self.n_reduced),
         )
 
     @cached_property
@@ -103,18 +100,21 @@ class SparcaModel:
     @cached_property
     def _serving(self) -> tuple:
         """``(scaler, weights)``: the fitted scaler with the support as its
-        ``kept_features``, and the CSR (n_reduced, support size) transpose
-        of the projection's support rows."""
+        ``kept_features``, and the CSR (n_reduced, support size) weights,
+        built from the components' entries end to end. Each row's columns
+        increase, as a component's features do, so every output element sums
+        its terms in the order of ``standardize_apply(X) @ projection``."""
         from scipy import sparse  # imported here, as in ``projection``
 
-        # The projection's CSC indices are sorted within each column, and
-        # row selection keeps that order, so every output element sums its
-        # terms in the order of ``standardize_apply(X) @ projection``.
-        support = np.unique(self.projection.indices)
-        columns = self.scaler.kept_features[support]
+        comps = self.components
+        features = np.array([i for comp in comps for i, _ in comp.entries])
+        weights = np.array([w for comp in comps for _, w in comp.entries])
+        indptr = np.cumsum([0] + [comp.support_size for comp in comps])
+        support, columns = np.unique(features, return_inverse=True)
+        shape = (self.n_reduced, support.size)
         return (
-            replace(self.scaler, kept_features=columns),
-            sparse.csr_array(self.projection[support].T),
+            replace(self.scaler, kept_features=support),
+            sparse.csr_array((weights, columns, indptr), shape=shape),
         )
 
     def transform(self, X) -> "ReducedMatrix":
@@ -274,6 +274,31 @@ def save_model(model: SparcaModel, path):
         fh.write("\n")
 
 
+def _integers(value, name):
+    """``value``, a number or a list of numbers, as int64; raises
+    ``ValueError`` if the conversion changes a number, as 1.9 -> 1."""
+    ints = np.asarray(value, dtype=np.int64)
+    if ints.tolist() != value:
+        raise ValueError(f"{name} must be integral")
+    return ints
+
+
+def _read_component(doc, variance_threshold) -> SparseComponent:
+    """The component a model file's ``components`` item describes."""
+    entries = doc["entries"]
+    features = _integers([i for i, _ in entries], "features").tolist()
+    evr = float(doc["evr"])
+    return SparseComponent(
+        entries=tuple(zip(features, [float(w) for _, w in entries])),
+        achieved_evr=evr,
+        cluster=int(_integers(doc["cluster"], "cluster")),
+        rank=int(_integers(doc["rank"], "rank")),
+        # Stopping rule: a component falls short of the threshold only when
+        # its cluster's usable atoms were exhausted.
+        full_support=evr < variance_threshold,
+    )
+
+
 def _check_model(scaler, labels, n_clusters, components, variance_threshold):
     """Raise ``ValueError`` unless the parsed parts fit together as a model."""
     if not 0.0 < variance_threshold <= 1.0:
@@ -318,12 +343,21 @@ def _check_model(scaler, labels, n_clusters, components, variance_threshold):
                 f"component {comp.source} has evr {comp.achieved_evr}, "
                 f"which is not in [0, 1]"
             )
-        for feature, _ in comp.entries:
+        features = [i for i, _ in comp.entries]
+        for feature in features:
             if cluster_of.get(feature) != comp.cluster:
                 raise ValueError(
                     f"component {comp.source} uses feature {feature}, "
                     f"which is not a kept feature of its cluster"
                 )
+        if any(b <= a for a, b in zip(features, features[1:])):
+            raise ValueError(
+                f"component {comp.source} features are not strictly increasing"
+            )
+        if not all(math.isfinite(w) for _, w in comp.entries):
+            raise ValueError(
+                f"component {comp.source} has a non-finite weight"
+            )
         ranks = ranks_of.setdefault(comp.cluster, [])
         if comp.rank in ranks:
             raise ValueError(f"component {comp.source} appears twice")
@@ -345,10 +379,13 @@ def load_model(path) -> SparcaModel:
     """Load a model written by :func:`save_model`.
 
     Raises ``ValueError`` on unknown format versions, malformed files
-    (missing keys, values that do not convert to numbers) and parts that do
-    not fit together (a variance threshold outside (0, 1], scaler lengths,
-    kept features, std, assignment, component supports and EVRs outside
-    [0, 1], per-cluster ranks ``0..h-1``); never returns a partial model.
+    (missing keys, values that do not convert to numbers, integer fields
+    holding non-integers, Horn parameters ``HornParams`` rejects) and parts
+    that do not fit together (a variance threshold outside (0, 1], scaler
+    lengths, kept features, std, assignment, component supports that are
+    not strictly increasing kept features of their cluster, non-finite
+    weights, EVRs outside [0, 1], per-cluster ranks ``0..h-1``); never
+    returns a partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -369,28 +406,18 @@ def load_model(path) -> SparcaModel:
         scaler = Scaler(
             means=np.asarray(doc["scaler"]["means"], dtype=np.float64),
             stds=np.asarray(doc["scaler"]["stds"], dtype=np.float64),
-            kept_features=np.asarray(
-                doc["scaler"]["kept_features"], dtype=np.int64
+            kept_features=_integers(
+                doc["scaler"]["kept_features"], "kept_features"
             ),
         )
+        horn = doc["horn"]
         horn_params = HornParams(
-            n_repeats=int(doc["horn"]["n_repeats"]),
-            percentile=float(doc["horn"]["percentile"]),
-            seed=int(doc["horn"]["seed"]),
+            horn["n_repeats"], horn["percentile"], horn["seed"]
         )
-        labels = np.asarray(doc["assignment"], dtype=np.int64)
-        n_clusters = int(doc["n_clusters"])
+        labels = _integers(doc["assignment"], "assignment")
+        n_clusters = int(_integers(doc["n_clusters"], "n_clusters"))
         components = tuple(
-            SparseComponent(
-                entries=tuple((int(i), float(w)) for i, w in c["entries"]),
-                achieved_evr=float(c["evr"]),
-                cluster=int(c["cluster"]),
-                rank=int(c["rank"]),
-                # Stopping rule: a component falls short of the threshold
-                # only when its cluster's usable atoms were exhausted.
-                full_support=float(c["evr"]) < variance_threshold,
-            )
-            for c in doc["components"]
+            _read_component(c, variance_threshold) for c in doc["components"]
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc

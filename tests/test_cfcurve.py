@@ -187,7 +187,7 @@ class TestCfCurve:
         assert max(map(len, groups)) > 10
         assert widths[0] < widths[1] == 10
 
-    @pytest.mark.parametrize("n_threads", [0, -3])
+    @pytest.mark.parametrize("n_threads", [0, -3, 1.5, "2"])
     def test_thread_count_below_one_rejected(
         self, block_data, monkeypatch, n_threads
     ):
@@ -195,9 +195,13 @@ class TestCfCurve:
             raise AssertionError("standardized before rejecting n_threads")
 
         monkeypatch.setattr(sparca.cfcurve, "standardize_fit", no_work)
-        with pytest.raises(ValueError, match="n_threads must be at least 1"):
+        if isinstance(n_threads, int):
+            message = "n_threads must be at least 1"
+        else:
+            message = "n_threads must be an integer"
+        with pytest.raises(ValueError, match=message):
             cf_curve(block_data, n_threads=n_threads)
-        with pytest.raises(ValueError, match="n_threads must be at least 1"):
+        with pytest.raises(ValueError, match=message):
             sparca.pipeline.fit(block_data, n_threads=n_threads)
 
 

@@ -1,4 +1,6 @@
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -182,6 +184,49 @@ class TestEnvironmentDefaults:
             "fit", "--input", str(block_csv), "--out", str(tmp_path / "m.json"),
         ]) == 0
         assert seen == {"seed": 7, "threads": 3}
+
+    def test_unset_values_leave_the_defaults(
+        self, block_csv, tmp_path, monkeypatch
+    ):
+        # No thread count reaches the library: data.thread_map picks it.
+        monkeypatch.delenv("SPARCA_SEED", raising=False)
+        monkeypatch.delenv("SPARCA_THREADS", raising=False)
+        seen = {}
+
+        def record(args):
+            seen.update(seed=args.seed, threads=args.threads)
+            return 0
+
+        monkeypatch.setattr(sparca.cli, "cmd_fit", record)
+        assert main([
+            "fit", "--input", str(block_csv), "--out", str(tmp_path / "m.json"),
+        ]) == 0
+        assert seen == {"seed": 0, "threads": None}
+
+    def test_bad_values_do_not_stop_transform(
+        self, block_csv, tmp_path, monkeypatch
+    ):
+        model_path = tmp_path / "model.json"
+        assert main([
+            "fit", "--input", str(block_csv), "--clusters", "4",
+            "--out", str(model_path), "--seed", "0", "--threads", "1",
+        ]) == 0
+        monkeypatch.setenv("SPARCA_SEED", "abc")
+        monkeypatch.setenv("SPARCA_THREADS", "0")
+        assert main([
+            "transform", "--input", str(block_csv),
+            "--model", str(model_path), "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+        assert load_csv(tmp_path / "r.csv").shape[0] == 400
+
+    def test_bad_thread_count_does_not_stop_synth(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPARCA_THREADS", "0")
+        out = tmp_path / "synth.csv"
+        assert main([
+            "synth", "--samples", "6", "--features", "4", "--rank", "2",
+            "--out", str(out),
+        ]) == 0
+        assert load_csv(out).shape == (6, 4)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +441,27 @@ class TestEvalCommand:
             main(["eval", *args, "--out-prefix", str(tmp_path / "x")])
         assert excinfo.value.code == 2
         assert f"not allowed with argument {foreign}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("damage", ["cut", "corrupt"])
+    def test_bad_gzip_idx_is_reported(self, tmp_path, capsys, damage):
+        packed = gzip.compress(struct.pack(">iiii", 2051, 2, 2, 2) + bytes(8))
+        if damage == "cut":
+            packed = packed[:-10]
+        else:  # the reserved deflate block type
+            packed = packed[:10] + b"\xff" + packed[11:]
+        images = tmp_path / "images.gz"
+        images.write_bytes(packed)
+        labels = tmp_path / "labels"
+        labels.write_bytes(struct.pack(">ii", 2049, 2) + bytes(2))
+        code = main([
+            "eval", "--idx-images", str(images), "--idx-labels", str(labels),
+            "--out-prefix", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {images}: bad gzip data" in err
+        assert "Traceback" not in err
 
 
 class TestSynthCommand:

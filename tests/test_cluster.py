@@ -206,6 +206,15 @@ class TestWardLinkage:
         with pytest.raises(ValueError, match="entries"):
             ward_linkage(np.ones(4), 4)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        # scipy's linkage raises the non-finite ValueError itself.
+        [(np.inf, "finite"), (np.nan, "finite"), (-0.5, "non-negative")],
+    )
+    def test_bad_distance_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            ward_linkage(np.array([1.0, bad, 2.0]), 3)
+
 
 # Inputs with many exact distance ties, where the kept-merge set decides the
 # cut: every pair ties in eye(12), and the vertices of the 4-cube, 20 unit

@@ -253,12 +253,33 @@ class TestIdx:
             load_idx(img, lbl)
         assert str(img) in str(excinfo.value)
 
+    @pytest.mark.parametrize("damage", ["cut", "corrupt"])
+    def test_bad_gzip_data(self, tmp_path, damage):
+        img, lbl = _write_idx_pair(
+            tmp_path, np.ones((2, 3, 3)), [1, 2], compress=True
+        )
+        _damage_gzip(img, damage)
+        with pytest.raises(ValueError, match="bad gzip data") as excinfo:
+            load_idx(img, lbl)
+        assert str(img) in str(excinfo.value)
+
     def test_negative_label_count(self, tmp_path):
         img, lbl = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
         _rewrite_header(lbl, ">ii", 2049, -1)
         with pytest.raises(ValueError, match="negative dimension") as excinfo:
             load_idx(img, lbl)
         assert str(lbl) in str(excinfo.value)
+
+
+def _damage_gzip(path, damage):
+    """Cut a gzip file short (``EOFError`` in ``gzip``) or give its deflate
+    stream the reserved block type (``zlib.error``)."""
+    packed = gzip.compress(gzip.decompress(path.read_bytes()))
+    if damage == "cut":
+        packed = packed[:-10]
+    else:  # the 10-byte header holds no file name
+        packed = packed[:10] + b"\xff" + packed[11:]
+    path.write_bytes(packed)
 
 
 def _rewrite_header(path, fmt, *fields):

@@ -24,6 +24,7 @@ from sparca.evalkit import (
     smooth_gradient,
     stratified_split,
 )
+from sparca.data import standardize_apply
 from sparca.horn import HornParams
 from sparca.pipeline import fit
 
@@ -311,8 +312,7 @@ def setup():
     pca = PcaBaseline.fit(X[:150], horn_params=HornParams(seed=0))
     clfs = []
     for model in (dr, pca):
-        reduced = model.transform(X[:150])
-        values = getattr(reduced, "values", reduced)
+        values = model.transform(X[:150]).values
         clfs.append(l1_logreg_fit(values, y[:150], 0.01))
     return X[150:], y[150:], [dr, pca], clfs
 
@@ -322,9 +322,7 @@ class TestNoiseRobustness:
         X_test, y_test, drs, clfs = setup
         table = noise_robustness(drs, clfs, X_test, y_test, [0.0, 1.0], seed=0)
         for mi, (dr, clf) in enumerate(zip(drs, clfs)):
-            reduced = dr.transform(X_test)
-            values = getattr(reduced, "values", reduced)
-            pred, _ = l1_logreg_predict(clf, values)
+            pred, _ = l1_logreg_predict(clf, dr.transform(X_test).values)
             clean = float(np.mean(pred == y_test))
             assert table[0, mi] == clean
 
@@ -350,7 +348,19 @@ class TestPcaBaseline:
         model = PcaBaseline.fit(X, horn_params=HornParams(seed=0))
         assert model.n_reduced == 8  # one component per latent factor
         out = model.transform(X)
-        assert out.shape == (300, 8)
+        assert out.values.shape == (300, 8)
+
+    def test_transform_gives_values_and_provenance(self):
+        X, _ = block_factor_data(200, seed=4)
+        X[:, 3] = 1.0  # a constant column is dropped
+        model = PcaBaseline.fit(X, horn_params=HornParams(seed=0))
+        out = model.transform(X[:50])
+        expected = standardize_apply(model.scaler, X[:50]) @ model.loadings
+        assert np.array_equal(out.values, expected)
+        kept = tuple(i for i in range(X.shape[1]) if i != 3)
+        assert out.column_provenance == tuple(
+            (0, j, kept) for j in range(model.n_reduced)
+        )
 
 
 class TestProfileRuntime:

@@ -355,6 +355,44 @@ def _string_label(doc):
     doc["assignment"][0] = "a"
 
 
+def _shift(*keys):
+    """Add 0.5 to the integer at ``doc[keys[0]][keys[1]]...``, which a
+    truncating load would read back unchanged."""
+    def corrupt(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] += 0.5
+
+    return corrupt
+
+
+def _set_weight(value):
+    def corrupt(doc):
+        doc["components"][0]["entries"][0][1] = value
+
+    return corrupt
+
+
+def _set_horn(key, value):
+    def corrupt(doc):
+        doc["horn"][key] = value
+
+    return corrupt
+
+
+def _drop_horn(key):
+    def corrupt(doc):
+        del doc["horn"][key]
+
+    return corrupt
+
+
+def _repeated_feature(doc):
+    feature, _ = doc["components"][0]["entries"][0]
+    doc["components"][0]["entries"][:1] = [[feature, 0.5], [feature, 1.0]]
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -430,6 +468,20 @@ class TestSerialization:
             (_string_label, "malformed model file .*'a'"),
             (_set_seed(-1), "malformed model file .*seed must be an integer"),
             (_set_seed(2**64), "malformed model file .*seed must be an"),
+            (_set_n_clusters(3.7), "malformed model file .*n_clusters must be"),
+            (_shift("assignment", 0), "malformed model file .*assignment"),
+            (_shift("scaler", "kept_features", 0), "malformed .*kept_features"),
+            (_shift("components", 0, "cluster"), "malformed model file .*cluster"),
+            (_shift("components", 0, "rank"), "malformed model file .*rank"),
+            (_shift("components", 0, "entries", 0, 0), "malformed .*features"),
+            (_set_weight(float("nan")), r"component \(0, 0\) has a non-finite"),
+            (_set_weight(float("inf")), r"component \(0, 0\) has a non-finite"),
+            (_repeated_feature, "features are not strictly increasing"),
+            (_set_seed(1.9), "malformed .*seed must be an integer"),
+            (_set_horn("n_repeats", 20.5), "malformed .*n_repeats must be an"),
+            (_drop_horn("n_repeats"), "malformed model file .*'n_repeats'"),
+            (_drop_horn("percentile"), "malformed model file .*'percentile'"),
+            (_drop_horn("seed"), "malformed model file .*KeyError.'seed'"),
         ],
     )
     def test_inconsistent_parts_rejected(
@@ -444,6 +496,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match) as excinfo:
             load_model(path)
         assert str(path) in str(excinfo.value)
+
+    def test_loaded_model_is_served_without_the_projection(
+        self, block_model, tmp_path
+    ):
+        X, _, model = block_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        values = transform(loaded, X).values
+        assert "projection" not in vars(loaded)
+        assert np.array_equal(
+            values, standardize_apply(loaded.scaler, X) @ loaded.projection
+        )
 
     def test_missing_key_rejected(self, block_model, tmp_path):
         _, _, model = block_model
