@@ -12,18 +12,13 @@ read it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cluster import Linkage, _cut_groups, feature_distances, ward_linkage
-from .data import (
-    standardize_apply,
-    standardize_fit,
-    thread_map,
-)
+from .data import is_integer, standardize_apply, standardize_fit, thread_map
 from .horn import HornParams, _PermutationTable, horn_components
 
 # Grid points the derivative is averaged over before its minimum is taken.
@@ -111,18 +106,16 @@ class FeatureTree:
 
     ``cf_curve`` and ``pipeline.fit`` both cut one tree, so a fit that
     selects its own cluster count reuses the curve's tree and Horn counts.
-    Every block has the tree's row count, so each call to ``cuts`` sorts
-    the Horn null's permutations once, into a table sized to its widest new
-    node and capped at about 16 MB (see ``horn._PermutationTable``), not
-    once per node. Their hashed sort keys never tie, so that sort need not
-    be stable. Each node then gathers its own ``(trial, column, row)``
-    permuted copies of its centred block.
+    Every block has the tree's row count, so each call to ``cuts`` draws
+    the Horn null's permutations once, into one ``horn._PermutationTable``
+    that its new nodes share; ``horn`` describes the table, its sort and
+    the gather of each node's permuted copies.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """
 
     def __init__(self, X, horn_params=None, n_threads=None):
-        if not isinstance(n_threads, (numbers.Integral, type(None))):
+        if not (n_threads is None or is_integer(n_threads)):
             raise ValueError(
                 f"n_threads must be an integer, got {n_threads!r}"
             )

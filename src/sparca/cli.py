@@ -264,12 +264,7 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     X = evalkit.gen_synthetic(
-        evalkit.SynthSpec(
-            n_samples=args.samples,
-            n_features=args.features,
-            effective_rank=args.rank,
-            seed=args.seed,
-        )
+        args.samples, args.features, args.rank, seed=args.seed
     )
     write_csv(X, args.out)
     print(f"wrote {args.samples}x{args.features} synthetic matrix to {args.out}")

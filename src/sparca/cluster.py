@@ -31,14 +31,6 @@ class Linkage:
     size: np.ndarray
     n_leaves: int
 
-    @property
-    def merges(self):
-        """Merge records as ``(left_id, right_id, distance, merged_size)``."""
-        return [
-            (int(l), int(r), float(d), int(s))
-            for l, r, d, s in zip(self.left, self.right, self.distance, self.size)
-        ]
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:

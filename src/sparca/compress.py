@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import validate_matrix
+from .data import is_integer, validate_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +34,10 @@ def pca_fit(x, n_components: int) -> ClusterPca:
     wide blocks. Each loading vector is flipped so its largest-magnitude
     entry is positive, making the output deterministic.
     """
+    if not is_integer(n_components):
+        raise ValueError(
+            f"n_components must be an integer, got {n_components!r}"
+        )
     x = validate_matrix(x, name="x")
     n, m = x.shape
     cap = min(n - 1, m)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gzip
 import math
+import numbers
 import os
 import struct
 import zlib
@@ -66,6 +67,17 @@ def validate_matrix(X, name="X"):
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return X
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool, which Python counts
+    as one: ``True`` is no count, seed or size."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def thread_map(fn, items, n_threads=None):

@@ -9,16 +9,21 @@ classes, stopping once the KKT residual is at most ``KKT_TOL``.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .cluster import feature_distances, ward_linkage
+from .cfcurve import FeatureTree
 from .compress import pca_fit
-from .data import Scaler, standardize_apply, standardize_fit, validate_matrix
+from .data import (
+    Scaler,
+    is_integer,
+    is_number,
+    standardize_apply,
+    standardize_fit,
+    validate_matrix,
+)
 from .horn import HornParams, horn_components
 from .pipeline import ReducedMatrix
 from . import pipeline
@@ -32,16 +37,6 @@ KKT_TOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # synthetic data
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Shape, target effective rank, and seed for a synthetic matrix."""
-
-    n_samples: int
-    n_features: int
-    effective_rank: int
-    seed: int = 0
 
 
 def participation_ratio(singular_values) -> float:
@@ -79,21 +74,23 @@ def _gaussian_profile(n_values: int, target_rank: int):
     return np.exp(-0.5 * (idx / hi) ** 2)
 
 
-def gen_synthetic(spec: SynthSpec):
-    """Random matrix with a Gaussian-decay spectrum at a target effective rank.
+def gen_synthetic(n_samples, n_features, effective_rank, seed=0):
+    """Random ``n_samples x n_features`` matrix with a Gaussian-decay
+    spectrum whose participation ratio is ``effective_rank``.
 
     ``X = U diag(s) V^T`` with ``U`` and ``V`` drawn as QR factors of
-    Gaussian matrices; deterministic per seed. The realized participation
-    ratio matches ``spec.effective_rank`` to well within 5%.
+    Gaussian matrices from ``seed``; deterministic per seed. The realized
+    participation ratio matches ``effective_rank`` to well within 5%; a rank
+    outside ``[1, min(n_samples, n_features)]`` raises ``ValueError``.
     """
-    n, m = spec.n_samples, spec.n_features
+    n, m = n_samples, n_features
     limit = min(n, m)
-    if not 1 <= spec.effective_rank <= limit:
+    if not 1 <= effective_rank <= limit:
         raise ValueError(
-            f"effective_rank {spec.effective_rank} infeasible for {n}x{m}"
+            f"effective_rank {effective_rank} infeasible for {n}x{m}"
         )
-    rng = np.random.default_rng(spec.seed)
-    svals = _gaussian_profile(limit, spec.effective_rank)
+    rng = np.random.default_rng(seed)
+    svals = _gaussian_profile(limit, effective_rank)
     u, _ = np.linalg.qr(rng.standard_normal((n, limit)))
     v, _ = np.linalg.qr(rng.standard_normal((m, limit)))
     return (u * svals) @ v.T
@@ -133,16 +130,17 @@ def l1_logreg_fit(
     unless a weight part lies strictly inside (0, KKT_TOL). ``max_iter`` caps
     its iterations; reaching it returns the current iterate. ``init``
     warm-starts the weights. An abnormal line-search exit raises
-    ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are imported here,
-    not at module level, because loading them adds about 14 MB of resident
-    memory to every process that imports sparca.
+    ``RuntimeError``. ``scipy.optimize``, ``scipy.special`` and scipy's
+    BLAS are imported here, not at module level: loading them adds about
+    14 MB of resident memory to every process that imports sparca, and
+    about 0.2 s to the start of every ``sparca`` command.
     """
     X = validate_matrix(X)
     y = np.asarray(y, dtype=np.int64).ravel()
     n, p = X.shape
     if y.size != n:
         raise ValueError("label count does not match sample count")
-    if not (isinstance(lam, numbers.Real) and 0.0 <= lam < np.inf):
+    if not (is_number(lam) and 0.0 <= lam < np.inf):
         raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
     n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes)
@@ -163,6 +161,7 @@ def l1_logreg_fit(
 
     from scipy.linalg.blas import dgemm
     from scipy.optimize import Bounds, minimize
+    from scipy.special import expit
 
     # The products go through scipy's BLAS, which L-BFGS-B also calls:
     # numpy's matmul uses a second OpenBLAS whose thread pool would contend
@@ -205,21 +204,6 @@ def l1_logreg_predict(model: L1LogRegModel, X):
     return np.argmax(scores, axis=1).astype(np.int64), scores
 
 
-def smooth_gradient(model: L1LogRegModel, X, y):
-    """Gradient of the smooth (logistic) part at the model's parameters.
-
-    Returns ``(weight_grad, intercept_grad)`` with weight_grad shaped like
-    ``model.weights``; used for optimality certificates.
-    """
-    X = validate_matrix(X)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    n = X.shape[0]
-    Y = np.zeros((n, model.n_classes))
-    Y[np.arange(n), y] = 1.0
-    P = expit(X @ model.weights.T + model.intercepts)
-    return (X.T @ (P - Y) / n).T, (P - Y).mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # evaluation protocol helpers
 
@@ -229,10 +213,13 @@ def stratified_split(y, sizes, seed: int = 0):
 
     Each class contributes in proportion to its frequency (largest-remainder
     rounding); samples are drawn without replacement in a seeded shuffle.
-    Returns one index array per requested size.
+    Returns one index array per requested size. Sizes must be integers
+    >= 0 that sum to at most the sample count.
     """
     y = np.asarray(y, dtype=np.int64).ravel()
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    if not all(map(is_integer, sizes)):
+        raise ValueError(f"split sizes must be integers, got {sizes}")
     if min(sizes, default=0) < 0:
         raise ValueError(f"split sizes must be >= 0, got {sizes}")
     if sum(sizes) > y.size:
@@ -275,8 +262,9 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     The grid is swept from strongest to weakest regularization with warm
     starts. Ties prefer the stronger penalty. Returns ``(best_lambda,
     mean_accuracies)`` with accuracies aligned to the given grid. Raises
-    ``ValueError`` for an empty grid or a fold count outside 2 to the size of
-    the largest class (a larger count would leave a fold empty).
+    ``ValueError`` for an empty grid or a fold count that is not an integer
+    from 2 to the size of the largest class (a larger count would leave a
+    fold empty).
     """
     X = validate_matrix(X)
     y = np.asarray(y, dtype=np.int64).ravel()
@@ -285,6 +273,8 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
         raise ValueError("the lambda grid is empty")
+    if not is_integer(n_folds):
+        raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
     classes, counts = np.unique(y, return_counts=True)
     if not 2 <= n_folds <= counts.max():
         raise ValueError(
@@ -440,7 +430,9 @@ CLUSTER_RANK_FACTOR = 2  # clusters = 2 * effective rank
 
 
 def _validate_grid(grid, name):
-    grid = [int(g) for g in grid]
+    grid = list(grid)
+    if not all(map(is_integer, grid)):
+        raise ValueError(f"{name} sizes must be integers, got {grid}")
     if len(grid) < 4:
         raise ValueError(f"{name} needs at least 4 sizes")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -451,18 +443,19 @@ def _validate_grid(grid, name):
 
 
 def _timed_fit(n_samples, n_features, repeats, seed):
-    """Median seconds of the whole fit and of its distances-plus-Ward stage."""
+    """Median seconds of the whole fit and of its distances-plus-Ward stage,
+    the ``linkage`` of a fresh ``FeatureTree`` per repeat."""
     rank = min(max(1, n_features // RANK_FRACTION), min(n_samples, n_features))
     n_clusters = min(CLUSTER_RANK_FACTOR * rank, n_features)
-    X = gen_synthetic(SynthSpec(n_samples, n_features, rank, seed))
-    Xs = standardize_apply(standardize_fit(X), X)
+    X = gen_synthetic(n_samples, n_features, rank, seed)
     fit_times, cluster_times = [], []
     for _ in range(repeats):
         start = time.perf_counter()
         pipeline.fit(X, n_clusters=n_clusters, n_threads=1)
         fit_times.append(time.perf_counter() - start)
+        tree = FeatureTree(X, n_threads=1)
         start = time.perf_counter()
-        ward_linkage(feature_distances(Xs), Xs.shape[1])
+        tree.linkage
         cluster_times.append(time.perf_counter() - start)
     return float(np.median(fit_times)), float(np.median(cluster_times))
 
@@ -480,7 +473,7 @@ def profile_runtime(sample_grid, feature_grid, repeats: int = 3, seed: int = 0):
     2x the rank. Medians over ``repeats`` runs per size; slopes are least
     squares fits on log-log points.
     """
-    if not (isinstance(repeats, numbers.Integral) and repeats >= 1):
+    if not (is_integer(repeats) and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     sample_grid = _validate_grid(sample_grid, "sample_grid")
     feature_grid = _validate_grid(feature_grid, "feature_grid")

@@ -11,25 +11,20 @@ cut of a feature tree. It also means that reordering a block's columns
 changes which stream each column draws: Horn counts are equivariant under
 column permutations only in distribution, not draw for draw.
 
-A permutation is the argsort of its stream's hashed keys. The hash is a
-bijection of distinct packed (trial, column, row) values, so no two keys of a
-stream tie and any correct sort, stable or not, gives the same permutation.
-The block is centred once; its permuted copies, which keep every column's
-mean, are gathered as ``(trial, column, row)`` arrays, one row per variable,
-and each trial's covariance is one product of such an array with its
-transpose.
+``_permutations`` says how the streams are hashed and why their sort need
+not be stable, ``_PermutationTable`` how the shared table is sized, and
+``_null_eigvals`` how each trial's permuted copy of a block is gathered.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import validate_matrix
+from .data import is_integer, is_number, validate_matrix
 
 
 @dataclass(frozen=True)
@@ -43,17 +38,17 @@ class HornParams:
     def __post_init__(self):
         # The seed is hashed as one uint64.
         seed = self.seed
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        if not (is_integer(seed) and 0 <= seed < 1 << 64):
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), got {seed!r}"
             )
         n_repeats = self.n_repeats
-        if not (isinstance(n_repeats, numbers.Integral) and n_repeats >= 1):
+        if not (is_integer(n_repeats) and n_repeats >= 1):
             raise ValueError(
                 f"n_repeats must be an integer >= 1, got {n_repeats!r}"
             )
         p = self.percentile
-        if not (isinstance(p, numbers.Real) and 0.0 < p <= 100.0):
+        if not (is_number(p) and 0.0 < p <= 100.0):
             raise ValueError(f"percentile must be in (0, 100], got {p!r}")
 
 
@@ -171,7 +166,9 @@ def _null_eigvals(x, params: HornParams, table=None):
     Permuting a column keeps its mean, so the permuted copies of a centred
     block are centred too. The copies are gathered one column at a time,
     ``permuted[t, j] = x[p[t, j], j]``, into a C-contiguous ``(t, m, n)``
-    array whose matrices are the transposed copies.
+    array whose matrices are the transposed copies, one row per variable:
+    each trial's covariance is one product of such a matrix with its
+    transpose.
     """
     n, m = x.shape
     xt = np.ascontiguousarray(x.T)

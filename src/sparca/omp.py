@@ -8,12 +8,11 @@ requested threshold or the usable dictionary is exhausted.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import validate_matrix
+from .data import is_number, validate_matrix
 
 # Candidate atoms whose component orthogonal to the current selection falls
 # below this relative norm are collinear with it and permanently rejected.
@@ -91,7 +90,7 @@ def omp_fit(
     if not np.isfinite(t).all():
         raise ValueError("target contains NaN or infinite values")
     v = variance_threshold
-    if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+    if not (is_number(v) and 0.0 < v <= 1.0):
         raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
     centered = t - t.mean()
     denom = float(centered @ centered)

@@ -8,9 +8,9 @@ projection matrix applied at transform time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -25,6 +25,8 @@ from .data import (
     VARIANCE_EPS,
     Scaler,
     as_matrix,
+    is_integer,
+    is_number,
     standardize_apply,
     standardize_fit,
     thread_map,
@@ -182,9 +184,9 @@ def fit(
     """
     X = validate_matrix(X)
     v = variance_threshold
-    if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+    if not (is_number(v) and 0.0 < v <= 1.0):
         raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
-    if n_clusters is not None and not isinstance(n_clusters, numbers.Integral):
+    if not (n_clusters is None or is_integer(n_clusters)):
         raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit")
@@ -274,28 +276,47 @@ def save_model(model: SparcaModel, path):
         fh.write("\n")
 
 
-def _integers(value, name):
-    """``value``, a number or a list of numbers, as int64; raises
-    ``ValueError`` if the conversion changes a number, as 1.9 -> 1."""
-    ints = np.asarray(value, dtype=np.int64)
-    if ints.tolist() != value:
+def _numbers(values, name, dtype=np.float64):
+    """``values``, a list of JSON numbers, as a ``dtype`` array.
+
+    Raises ``ValueError`` for any other item: a string, a list, or a
+    boolean, which numpy would read as 0 or 1. An int64 conversion that
+    changes a number, as 1.9 -> 1, raises too. A scalar field is read as
+    the one item of ``[value]``.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"{name} must hold numbers, got {bad!r}")
+    array = np.asarray(values, dtype=dtype)
+    if dtype == np.int64 and array.tolist() != values:
         raise ValueError(f"{name} must be integral")
-    return ints
+    return array
 
 
-def _read_component(doc, variance_threshold) -> SparseComponent:
-    """The component a model file's ``components`` item describes."""
-    entries = doc["entries"]
-    features = _integers([i for i, _ in entries], "features").tolist()
-    evr = float(doc["evr"])
-    return SparseComponent(
-        entries=tuple(zip(features, [float(w) for _, w in entries])),
-        achieved_evr=evr,
-        cluster=int(_integers(doc["cluster"], "cluster")),
-        rank=int(_integers(doc["rank"], "rank")),
-        # Stopping rule: a component falls short of the threshold only when
-        # its cluster's usable atoms were exhausted.
-        full_support=evr < variance_threshold,
+def _read_components(docs, variance_threshold) -> tuple:
+    """The components a model file's ``components`` list describes. Each
+    field is read for all components at once, the entries concatenated."""
+    entries = [doc["entries"] for doc in docs]
+    pairs = [pair for e in entries for pair in e]
+    features = _numbers([i for i, _ in pairs], "features", np.int64)
+    weights = _numbers([w for _, w in pairs], "weights")
+    evrs = _numbers([doc["evr"] for doc in docs], "evr")
+    clusters = _numbers([doc["cluster"] for doc in docs], "cluster", np.int64)
+    ranks = _numbers([doc["rank"] for doc in docs], "rank", np.int64)
+    read = iter(zip(features.tolist(), weights.tolist()))
+    return tuple(
+        SparseComponent(
+            entries=tuple(itertools.islice(read, len(e))),
+            achieved_evr=evr,
+            cluster=cluster,
+            rank=rank,
+            # Stopping rule: a component falls short of the threshold only
+            # when its cluster's usable atoms were exhausted.
+            full_support=evr < variance_threshold,
+        )
+        for e, evr, cluster, rank in zip(
+            entries, evrs.tolist(), clusters.tolist(), ranks.tolist()
+        )
     )
 
 
@@ -379,13 +400,13 @@ def load_model(path) -> SparcaModel:
     """Load a model written by :func:`save_model`.
 
     Raises ``ValueError`` on unknown format versions, malformed files
-    (missing keys, values that do not convert to numbers, integer fields
-    holding non-integers, Horn parameters ``HornParams`` rejects) and parts
-    that do not fit together (a variance threshold outside (0, 1], scaler
-    lengths, kept features, std, assignment, component supports that are
-    not strictly increasing kept features of their cluster, non-finite
-    weights, EVRs outside [0, 1], per-cluster ranks ``0..h-1``); never
-    returns a partial model.
+    (missing keys, numeric fields holding anything but JSON numbers,
+    booleans included, integer fields holding non-integers, Horn parameters
+    ``HornParams`` rejects) and parts that do not fit together (a variance
+    threshold outside (0, 1], scaler lengths, kept features, std,
+    assignment, component supports that are not strictly increasing kept
+    features of their cluster, non-finite weights, EVRs outside [0, 1],
+    per-cluster ranks ``0..h-1``); never returns a partial model.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -396,29 +417,31 @@ def load_model(path) -> SparcaModel:
         version = doc["format_version"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format_version {version!r}, "
             f"expected {FORMAT_VERSION}"
         )
     try:
-        variance_threshold = float(doc["variance_threshold"])
+        [variance_threshold] = _numbers(
+            [doc["variance_threshold"]], "variance_threshold"
+        ).tolist()
         scaler = Scaler(
-            means=np.asarray(doc["scaler"]["means"], dtype=np.float64),
-            stds=np.asarray(doc["scaler"]["stds"], dtype=np.float64),
-            kept_features=_integers(
-                doc["scaler"]["kept_features"], "kept_features"
+            means=_numbers(doc["scaler"]["means"], "means"),
+            stds=_numbers(doc["scaler"]["stds"], "stds"),
+            kept_features=_numbers(
+                doc["scaler"]["kept_features"], "kept_features", np.int64
             ),
         )
         horn = doc["horn"]
         horn_params = HornParams(
             horn["n_repeats"], horn["percentile"], horn["seed"]
         )
-        labels = _integers(doc["assignment"], "assignment")
-        n_clusters = int(_integers(doc["n_clusters"], "n_clusters"))
-        components = tuple(
-            _read_component(c, variance_threshold) for c in doc["components"]
-        )
+        labels = _numbers(doc["assignment"], "assignment", np.int64)
+        [n_clusters] = _numbers(
+            [doc["n_clusters"]], "n_clusters", np.int64
+        ).tolist()
+        components = _read_components(doc["components"], variance_threshold)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc!r})") from exc
     try:

@@ -4,11 +4,14 @@ These deliberately take the slow, direct route: Ward merges are chosen by
 brute-force sum-of-squares increase over all cluster pairs, column distances
 are norms of column differences taken one pair at a time, cuts replay the
 kept merges with Python sets, the matching pursuit path re-solves every
-least-squares fit from scratch with ``np.linalg.lstsq``, and Horn's null
-hashes every sort key with Python integers and permutes one column at a time.
+least-squares fit from scratch with ``np.linalg.lstsq``, Horn's null
+hashes every sort key with Python integers and permutes one column at a time,
+and the logistic loss gradient is formed from its textbook formula rather
+than the solver's split-sign objective.
 """
 
 import numpy as np
+from scipy.special import expit
 
 
 def ward_delta_sse(X, group_a, group_b):
@@ -167,3 +170,18 @@ def horn_null_eigvals(x, seed, n_repeats):
         cov = np.cov(permuted, rowvar=False, bias=True)
         null[t] = np.linalg.eigvalsh(cov)[::-1]
     return null
+
+
+def smooth_gradient(model, X, y):
+    """Gradient of the mean one-vs-rest logistic loss at the model's
+    parameters, the part of the L1 objective that is smooth.
+
+    Returns ``(weight_grad, intercept_grad)`` with ``weight_grad`` shaped
+    like ``model.weights``; optimality certificates compare it to ``lam``.
+    """
+    y = np.asarray(y, dtype=np.int64).ravel()
+    n = X.shape[0]
+    Y = np.zeros((n, model.n_classes))
+    Y[np.arange(n), y] = 1.0
+    P = expit(X @ model.weights.T + model.intercepts)
+    return (X.T @ (P - Y) / n).T, (P - Y).mean(axis=0)

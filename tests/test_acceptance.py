@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from sparca.cfcurve import cf_curve
 from sparca.cluster import cut_to_k, feature_distances, ward_linkage
 from sparca.compress import pca_fit
 from sparca.data import load_idx, standardize_apply, standardize_fit
@@ -23,7 +22,6 @@ from sparca.evalkit import (
     l1_logreg_fit,
     noise_robustness,
     profile_runtime,
-    smooth_gradient,
     stratified_split,
 )
 from sparca.horn import HornParams, horn_components
@@ -38,7 +36,7 @@ from conftest import (
     partition_sets,
     rank1_snr_block,
 )
-from oracles import naive_ward, omp_reference_path
+from oracles import naive_ward, omp_reference_path, smooth_gradient
 
 NOISE_SIGMAS = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -264,13 +262,9 @@ def run_parity_protocol(X, y, seed=0):
     start = time.perf_counter()
     embed, train, test = stratified_split(y, (2000, 4000, 1000), seed=seed)
     horn = HornParams(seed=seed)
-    curve = cf_curve(X[embed], horn_params=horn)
-    sparca_model = fit_registered(
-        X[embed], n_clusters=curve.selected, horn_params=horn
-    )
+    sparca_model = fit_registered(X[embed], horn_params=horn)
     pca_model = PcaBaseline.fit(X[embed], horn_params=horn)
     result = {
-        "curve": curve,
         "models": [sparca_model, pca_model],
         "classifiers": [],
         "accuracy": {},

@@ -187,7 +187,7 @@ class TestCfCurve:
         assert max(map(len, groups)) > 10
         assert widths[0] < widths[1] == 10
 
-    @pytest.mark.parametrize("n_threads", [0, -3, 1.5, "2"])
+    @pytest.mark.parametrize("n_threads", [0, -3, 1.5, "2", True])
     def test_thread_count_below_one_rejected(
         self, block_data, monkeypatch, n_threads
     ):
@@ -195,7 +195,7 @@ class TestCfCurve:
             raise AssertionError("standardized before rejecting n_threads")
 
         monkeypatch.setattr(sparca.cfcurve, "standardize_fit", no_work)
-        if isinstance(n_threads, int):
+        if type(n_threads) is int:
             message = "n_threads must be at least 1"
         else:
             message = "n_threads must be an integer"

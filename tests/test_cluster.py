@@ -33,7 +33,8 @@ def _assert_greedy_ward(X, linkage):
     non-decreasing heights."""
     m = X.shape[1]
     clusters = {j: frozenset([j]) for j in range(m)}
-    for i, (left, right, dist, size) in enumerate(linkage.merges):
+    merges = zip(linkage.left, linkage.right, linkage.distance, linkage.size)
+    for i, (left, right, dist, size) in enumerate(merges):
         assert left < right
         merged = clusters[left] | clusters[right]
         assert size == len(merged)
@@ -164,7 +165,7 @@ class TestWardLinkage:
     def test_two_features(self):
         d = np.array([3.5])
         linkage = ward_linkage(d, 2)
-        assert len(linkage.merges) == 1
+        assert len(linkage.left) == 1
         assert np.isclose(linkage.distance[0], 3.5)
         assert linkage.size[0] == 2
 

@@ -93,6 +93,9 @@ class TestPcaFit:
         for h in (0, 5):
             with pytest.raises(ValueError, match="out of range"):
                 pca_fit(x, h)
+        for h in (1.5, True):
+            with pytest.raises(ValueError, match="n_components must be an"):
+                pca_fit(x, h)
         # the sample cap binds too: 3 samples allow at most 2 components
         with pytest.raises(ValueError, match="out of range"):
             pca_fit(_standardized(np.random.default_rng(8), 3, 4), 3)

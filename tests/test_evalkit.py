@@ -13,7 +13,6 @@ from sparca.evalkit import (
     KKT_TOL,
     L1LogRegModel,
     PcaBaseline,
-    SynthSpec,
     gen_synthetic,
     l1_logreg_fit,
     l1_logreg_predict,
@@ -21,7 +20,6 @@ from sparca.evalkit import (
     participation_ratio,
     profile_runtime,
     select_lambda,
-    smooth_gradient,
     stratified_split,
 )
 from sparca.data import standardize_apply
@@ -29,6 +27,7 @@ from sparca.horn import HornParams
 from sparca.pipeline import fit
 
 from conftest import block_factor_data
+from oracles import smooth_gradient
 
 
 class TestGenSynthetic:
@@ -36,7 +35,7 @@ class TestGenSynthetic:
         assert participation_ratio(np.ones(17)) == pytest.approx(17.0)
 
     def test_target_rank_achieved(self):
-        X = gen_synthetic(SynthSpec(50, 100, 20, seed=7))
+        X = gen_synthetic(50, 100, 20, seed=7)
         assert X.shape == (50, 100)
         s = np.linalg.svd(X, compute_uv=False)
         measured = participation_ratio(s)
@@ -44,21 +43,21 @@ class TestGenSynthetic:
         assert (np.diff(s) <= 1e-12).all() and (s >= 0).all()
 
     def test_deterministic(self):
-        a = gen_synthetic(SynthSpec(30, 40, 8, seed=3))
-        b = gen_synthetic(SynthSpec(30, 40, 8, seed=3))
+        a = gen_synthetic(30, 40, 8, seed=3)
+        b = gen_synthetic(30, 40, 8, seed=3)
         assert np.array_equal(a, b)
 
     def test_full_rank_equal_singular_values(self):
-        X = gen_synthetic(SynthSpec(30, 40, 30, seed=1))
+        X = gen_synthetic(30, 40, 30, seed=1)
         s = np.linalg.svd(X, compute_uv=False)
         assert np.allclose(s, s[0], atol=1e-10)
         assert participation_ratio(s) == pytest.approx(30.0)
 
     def test_infeasible_rank(self):
         with pytest.raises(ValueError, match="infeasible"):
-            gen_synthetic(SynthSpec(10, 20, 11, seed=0))
+            gen_synthetic(10, 20, 11, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
-            gen_synthetic(SynthSpec(10, 20, 0, seed=0))
+            gen_synthetic(10, 20, 0, seed=0)
 
 
 def _ten_class_problem():
@@ -231,7 +230,7 @@ class TestL1LogReg:
     def test_bad_lambda_rejected(self):
         X = np.random.default_rng(5).standard_normal((20, 3))
         y = np.arange(20) % 2
-        for lam in (-0.1, "0.1", float("nan"), float("inf"), None):
+        for lam in (-0.1, "0.1", float("nan"), float("inf"), None, False):
             with pytest.raises(ValueError, match="lam must be"):
                 l1_logreg_fit(X, y, lam)
 
@@ -271,6 +270,10 @@ class TestSplitsAndSelection:
         for sizes in ([-5], [10, -1]):
             with pytest.raises(ValueError, match="sizes must be >= 0"):
                 stratified_split(np.arange(60) % 2, sizes)
+        # Fractional sizes are as bad: a truncating read would draw 2 and 3.
+        for sizes in ([2.7, 3], [True, 3]):
+            with pytest.raises(ValueError, match="sizes must be integers"):
+                stratified_split(np.arange(60) % 2, sizes)
 
     def test_select_lambda_returns_grid_member(self):
         rng = np.random.default_rng(6)
@@ -290,8 +293,12 @@ class TestSplitsAndSelection:
             (1, [0.1], "n_folds must be between 2 and the largest class"),
             (3, [], "grid is empty"),
             (31, [0.1], "largest class size 30, got 31"),
+            (2.5, [0.1], "n_folds must be an integer, got 2.5"),
         ],
-        ids=["zero-folds", "one-fold", "empty-grid", "folds-exceed-largest-class"],
+        ids=[
+            "zero-folds", "one-fold", "empty-grid",
+            "folds-exceed-largest-class", "fractional-folds",
+        ],
     )
     def test_select_lambda_rejects_bad_settings(self, n_folds, lambdas, message):
         rng = np.random.default_rng(6)
@@ -371,8 +378,10 @@ class TestProfileRuntime:
             profile_runtime([10, 20, 40, 79], [24, 48, 96, 192], repeats=1)
         with pytest.raises(ValueError, match="increasing"):
             profile_runtime([10, 20, 20, 100], [24, 48, 96, 192], repeats=1)
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            profile_runtime([10, 20.5, 40, 100], [24, 48, 96, 192], repeats=1)
 
-    @pytest.mark.parametrize("repeats", [0, -2, 1.5, 2.0, "3"])
+    @pytest.mark.parametrize("repeats", [0, -2, 1.5, 2.0, "3", True])
     def test_repeats_rejected_before_any_fit(self, monkeypatch, repeats):
         # An empty median would report nan slopes instead of failing.
         def no_fit(*args, **kwargs):

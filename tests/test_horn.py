@@ -99,18 +99,18 @@ class TestHornComponents:
 
     def test_param_validation(self):
         # A float count would fail later, inside the permutation draws.
-        for n_repeats in (0, -1, 2.5, 2.0, "3"):
+        for n_repeats in (0, -1, 2.5, 2.0, "3", True):
             with pytest.raises(ValueError, match="n_repeats must be"):
                 HornParams(n_repeats=n_repeats)
         with pytest.raises(ValueError):
             HornParams(percentile=0.0)
         with pytest.raises(ValueError):
             HornParams(percentile=101.0)
-        for percentile in ("50", float("nan"), None):
+        for percentile in ("50", float("nan"), None, True):
             with pytest.raises(ValueError, match="percentile must be"):
                 HornParams(percentile=percentile)
         # The seed is hashed as a uint64.
-        for seed in (-1, 2**64, 1.5, "3", np.int64(-2)):
+        for seed in (-1, 2**64, 1.5, "3", np.int64(-2), True):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 HornParams(seed=seed)
         x = rank1_snr_block(40, 4, seed=0)

@@ -133,6 +133,6 @@ class TestOmpFit:
             omp_fit(D, D[:, 0], 0.0)
         with pytest.raises(ValueError, match="variance_threshold"):
             omp_fit(D, D[:, 0], 1.5)
-        for threshold in ("0.9", float("nan"), None):
+        for threshold in ("0.9", float("nan"), None, True):
             with pytest.raises(ValueError, match="variance_threshold"):
                 omp_fit(D, D[:, 0], threshold)

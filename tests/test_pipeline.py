@@ -131,10 +131,12 @@ class TestFit:
             fit(X, n_clusters=6)
         with pytest.raises(ValueError, match="out of range"):
             fit(X, n_clusters=0)
+        with pytest.raises(ValueError, match="n_clusters must be an integer"):
+            fit(X, n_clusters=True)
 
     def test_variance_threshold_validation(self):
         X = np.random.default_rng(1).standard_normal((20, 5))
-        for threshold in ("0.9", float("nan"), 0.0, 1.5):
+        for threshold in ("0.9", float("nan"), 0.0, 1.5, True):
             with pytest.raises(ValueError, match="variance_threshold must"):
                 fit(X, n_clusters=2, variance_threshold=threshold)
 
@@ -367,6 +369,18 @@ def _shift(*keys):
     return corrupt
 
 
+def _boolean(*keys):
+    """Set ``doc[keys[0]][keys[1]]...`` to ``true``, which a load that takes
+    booleans for numbers would read as 1."""
+    def corrupt(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = True
+
+    return corrupt
+
+
 def _set_weight(value):
     def corrupt(doc):
         doc["components"][0]["entries"][0][1] = value
@@ -430,10 +444,12 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported format_version"):
-            load_model(path)
+        # JSON true equals 1 in Python, the current version.
+        for version in (FORMAT_VERSION + 1, True):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="unsupported format_version"):
+                load_model(path)
 
     def test_truncated_file_rejected(self, block_model, tmp_path):
         _, _, model = block_model
@@ -482,6 +498,20 @@ class TestSerialization:
             (_drop_horn("n_repeats"), "malformed model file .*'n_repeats'"),
             (_drop_horn("percentile"), "malformed model file .*'percentile'"),
             (_drop_horn("seed"), "malformed model file .*KeyError.'seed'"),
+            (_boolean("variance_threshold"), "variance_threshold .*got True"),
+            (_boolean("scaler", "means", 0), "means must hold numbers"),
+            (_boolean("scaler", "stds", 0), "stds must hold numbers"),
+            (_boolean("scaler", "kept_features", 1), "kept_features must hold"),
+            (_boolean("horn", "n_repeats"), "n_repeats must be .*got True"),
+            (_boolean("horn", "percentile"), "percentile must be .*got True"),
+            (_boolean("horn", "seed"), "seed must be an integer .*got True"),
+            (_boolean("assignment", 0), "assignment must hold numbers"),
+            (_boolean("n_clusters"), "n_clusters must hold numbers, got True"),
+            (_boolean("components", 0, "cluster"), "cluster must hold numbers"),
+            (_boolean("components", 0, "rank"), "rank must hold numbers"),
+            (_boolean("components", 0, "evr"), "evr must hold numbers"),
+            (_boolean("components", 0, "entries", 0, 0), "features must hold"),
+            (_boolean("components", 0, "entries", 0, 1), "weights must hold"),
         ],
     )
     def test_inconsistent_parts_rejected(
@@ -522,7 +552,8 @@ class TestSerialization:
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, sparca; print('scipy' in sys.modules)"
+    # Every sparca command imports sparca.cli first.
+    code = "import sys, sparca.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(sparca.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
