@@ -18,7 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from .cluster import Linkage, _cut_groups, feature_distances, ward_linkage
-from .data import is_integer, standardize_apply, standardize_fit, thread_map
+from .data import (
+    is_integer,
+    is_number,
+    standardize_apply,
+    standardize_fit,
+    thread_map,
+)
 from .horn import HornParams, _PermutationTable, horn_components
 
 # Grid points the derivative is averaged over before its minimum is taken.
@@ -108,8 +114,11 @@ class FeatureTree:
     selects its own cluster count reuses the curve's tree and Horn counts.
     Every block has the tree's row count, so each call to ``cuts`` draws
     the Horn null's permutations once, into one ``horn._PermutationTable``
-    that its new nodes share; ``horn`` describes the table, its sort and
-    the gather of each node's permuted copies.
+    that its new nodes share. Blocks of one width draw the same streams of
+    that table, so ``cuts`` passes each width class of new nodes to Horn as
+    one stack (one call per class, not per node); a node's count is the one
+    it gets alone. ``horn`` describes the table, its sort and the gather of
+    a stack's permuted copies.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """
@@ -140,10 +149,11 @@ class FeatureTree:
         """``(groups, counts)`` of the cut at each cluster count in ``ks``.
 
         ``counts[i]`` is the Horn component count of ``groups[i]``. Cuts are
-        nested, so clusters recur across cuts: Horn runs once per dendrogram
-        node not seen before, in first-seen order. Those nodes share one
-        permutation table, built here before any worker starts and dropped
-        on return.
+        nested, so clusters recur across cuts: each dendrogram node not seen
+        before is counted once. Those nodes are grouped by width, and each
+        width class goes to Horn as one ``(K, n, m)`` stack; the stacks
+        share one permutation table, built here before any worker starts
+        and dropped on return.
         """
         cuts = [_cut_groups(self.linkage, int(k)) for k in ks]
         cols_of_new = {}
@@ -151,16 +161,23 @@ class FeatureTree:
             for node, cols in zip(node_ids, groups):
                 if node not in self._count_of_node:
                     cols_of_new.setdefault(node, cols)
-        widest = max(map(len, cols_of_new.values()), default=0)
-        table = _PermutationTable(self.horn_params, self.Xs.shape[0], widest)
-        counts = thread_map(
-            lambda cols: horn_components(
-                self.Xs[:, cols], self.horn_params, perms=table
-            ),
-            cols_of_new.values(),
-            self.n_threads,
+        nodes_of_width = {}
+        for node, cols in cols_of_new.items():
+            nodes_of_width.setdefault(len(cols), []).append(node)
+        table = _PermutationTable(
+            self.horn_params, self.Xs.shape[0], max(nodes_of_width, default=0)
         )
-        self._count_of_node.update(zip(cols_of_new, counts))
+
+        def count(nodes):
+            cols = np.array([cols_of_new[node] for node in nodes])
+            stack = np.ascontiguousarray(np.moveaxis(self.Xs[:, cols], 1, 0))
+            return horn_components(stack, self.horn_params, perms=table)
+
+        stacks = list(nodes_of_width.values())
+        for nodes, counts in zip(
+            stacks, thread_map(count, stacks, self.n_threads)
+        ):
+            self._count_of_node.update(zip(nodes, counts))
         return [
             (groups, [self._count_of_node[node] for node in node_ids])
             for node_ids, groups in cuts
@@ -172,6 +189,9 @@ class FeatureTree:
         if grid is None:
             grid = default_grid(m)
         else:
+            # np.asarray would read a bool among integers as 0 or 1.
+            if not all(map(is_number, np.asarray(grid, dtype=object).flat)):
+                raise ValueError(f"grid values must be integers, got {grid!r}")
             values = np.asarray(grid)
             grid = values.astype(np.int64)
             if (grid != values).any():

@@ -132,7 +132,9 @@ def _cut_groups(linkage: Linkage, k: int):
     one down hands both children their parent's topmost kept node, so every
     leaf ends on the root of its group. Returns ``(node_ids, groups)``
     ordered by smallest contained leaf, where ``node_ids[i]`` is the
-    dendrogram node spanning exactly ``groups[i]``.
+    dendrogram node spanning exactly ``groups[i]``, its leaves ascending:
+    a stable sort of the leaves by their group's rank lists every group in
+    turn, and the group sizes split that list.
     """
     m = linkage.n_leaves
     if not 1 <= k <= m:
@@ -141,10 +143,15 @@ def _cut_groups(linkage: Linkage, k: int):
     top = list(range(2 * m - 1))
     for i in reversed(range(m - k)):
         top[left[i]] = top[right[i]] = top[m + i]
-    roots = np.array(top[:m])
-    _, first = np.unique(roots, return_index=True)
-    node_ids = roots[np.sort(first)].tolist()
-    return node_ids, [np.flatnonzero(roots == node) for node in node_ids]
+    nodes, first, group = np.unique(
+        top[:m], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    leaves = np.argsort(rank[group], kind="stable")
+    sizes = np.bincount(group)[order]
+    return nodes[order].tolist(), np.split(leaves, np.cumsum(sizes)[:-1])
 
 
 def cut_to_k(linkage: Linkage, k: int) -> ClusterAssignment:

@@ -208,6 +208,13 @@ def l1_logreg_predict(model: L1LogRegModel, X):
 # evaluation protocol helpers
 
 
+def _check_seed(seed):
+    # default_rng would take True as 1 and fail on 1.5 or -1 with its own
+    # TypeError or a message that does not name the parameter.
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def stratified_split(y, sizes, seed: int = 0):
     """Disjoint stratified index sets with the requested total sizes.
 
@@ -216,6 +223,7 @@ def stratified_split(y, sizes, seed: int = 0):
     Returns one index array per requested size. Sizes must be integers
     >= 0 that sum to at most the sample count.
     """
+    _check_seed(seed)
     y = np.asarray(y, dtype=np.int64).ravel()
     sizes = list(sizes)
     if not all(map(is_integer, sizes)):
@@ -266,6 +274,7 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     from 2 to the size of the largest class (a larger count would leave a
     fold empty).
     """
+    _check_seed(seed)
     X = validate_matrix(X)
     y = np.asarray(y, dtype=np.int64).ravel()
     if lambdas is None:
@@ -324,6 +333,7 @@ def downstream_eval(
     as a ``SparcaModel`` or a ``PcaBaseline``; the classifier reads the
     result's ``values``. Returns ``(test_accuracy, classifier, best_lambda)``.
     """
+    _check_seed(seed)
     R_train = dr_model.transform(X_train).values
     R_test = dr_model.transform(X_test).values
     best_lambda, _ = select_lambda(
@@ -383,6 +393,7 @@ def noise_robustness(
     model at a given sigma so comparisons are paired. Returns an array of
     shape (len(sigmas), len(dr_models)).
     """
+    _check_seed(seed)
     if len(dr_models) != len(clf_models):
         raise ValueError("model lists must be aligned")
     if not dr_models:

@@ -11,9 +11,17 @@ cut of a feature tree. It also means that reordering a block's columns
 changes which stream each column draws: Horn counts are equivariant under
 column permutations only in distribution, not draw for draw.
 
-``_permutations`` says how the streams are hashed and why their sort need
-not be stable, ``_PermutationTable`` how the shared table is sized, and
-``_null_eigvals`` how each trial's permuted copy of a block is gathered.
+Since every block of width ``m`` draws streams ``0..m-1``, ``horn_components``
+also takes ``K`` blocks of one width as a ``(K, n, m)`` stack: one centring,
+one observed-spectrum call, one gather per trial for all ``K`` blocks, one
+stacked product and ``eigvalsh`` per chunk, and one percentile.
+Each block still goes through the same operations on the same values as
+alone, so its count does not depend on the stack it is in; a single
+``(n, m)`` block is the stack of one.
+
+``_permutations`` says how the streams are hashed and why their packed-key
+sort is exact, ``_PermutationTable`` how the shared table is sized, and
+``_null_eigvals`` how the permuted copies of a stack are gathered.
 """
 
 from __future__ import annotations
@@ -53,15 +61,27 @@ class HornParams:
 
 
 def _mix64(z):
-    """SplitMix64 finalizer, vectorized over uint64 arrays (wrapping mod 2^64)."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, in place on a uint64 array (wrapping mod 2^64).
+
+    Returns ``z``.
+    """
+    shifted = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(factor)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 # Entries per chunk of permuted trials, and the cap of a permutation table.
 _CHUNK_ENTRIES = 4_000_000
+# Permuted entries of a chunk of a stack's blocks, unless one block has more:
+# about the largest single block of a 1000 x 96 feature tree, so stacking
+# raises no peak there.
+_STACK_ENTRIES = 1 << 20
 # Sort keys hashed and sorted at a time: a block of columns stays in cache.
 _SORT_ENTRIES = 1 << 15
 
@@ -77,8 +97,16 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, out=None):
     into 20, 22 and 22 bits; larger values would give two streams the same
     keys, so they are rejected. Within a stream the packed values differ in
     the row bits and the SplitMix64 finalizer is a bijection on uint64, so
-    its keys are distinct: the sort need not be stable, and numpy's default
-    sort gives the permutation a stable one would, several times faster.
+    its keys are distinct and the permutation is their (unique) argsort.
+
+    That argsort is read off one plain sort: the low ``b =
+    bit_length(n_rows - 1)`` bits of each key are replaced by its row, and
+    the sorted keys' low bits are the permutation. Truncation keeps the
+    keys' order wherever their high bits differ; where two of a stream's
+    high parts tie, the rows would break the tie instead of the dropped
+    bits, so such a stream is sorted again by its full keys. With 1000 rows
+    a tie has odds of about 2^-35 per stream.
+
     Keys are hashed and sorted for about ``_SORT_ENTRIES`` of them at a
     time, a few columns, so they stay in cache between the two steps. Each
     such block is written straight into ``out`` (any integer dtype that holds
@@ -90,17 +118,34 @@ def _permutations(seed: int, trials, n_cols: int, n_rows: int, out=None):
             "permutation streams need fewer than 2**22 rows, 2**22 columns "
             "and 2**20 trials"
         )
-    i = np.arange(n_rows, dtype=np.uint64).reshape(1, 1, -1)
-    packed = (t << np.uint64(44)) | i
+    rows = np.arange(n_rows, dtype=np.uint64)
+    packed = (t << np.uint64(44)) | rows
     seed_key = _mix64(np.array([seed], dtype=np.uint64))
+
+    def keys_of(trial_rows, c0, c1):
+        c = np.arange(c0, c1, dtype=np.uint64).reshape(-1, 1)
+        keys = trial_rows | (c << np.uint64(22))
+        keys ^= seed_key
+        return _mix64(keys)
+
+    bits = np.uint64((n_rows - 1).bit_length())
+    low = (np.uint64(1) << bits) - np.uint64(1)
     if out is None:
         out = np.empty((t.shape[0], n_cols, n_rows), dtype=np.intp)
     step = max(1, _SORT_ENTRIES // packed.size)
     for c0 in range(0, n_cols, step):
         c1 = min(c0 + step, n_cols)
-        c = np.arange(c0, c1, dtype=np.uint64).reshape(1, -1, 1)
-        keys = _mix64((packed | (c << np.uint64(22))) ^ seed_key)
-        out[:, c0:c1] = np.argsort(keys, axis=-1)
+        keys = keys_of(packed, c0, c1)
+        keys &= ~low
+        keys |= rows
+        keys.sort(axis=-1)
+        high = keys >> bits
+        tied = (high[..., 1:] == high[..., :-1]).any(axis=-1)
+        keys &= low
+        out[:, c0:c1] = keys
+        for i, j in zip(*np.nonzero(tied)):
+            full = keys_of(packed[i], c0 + j, c0 + j + 1)[0]
+            out[i, c0 + j] = np.argsort(full)
     return out
 
 
@@ -159,33 +204,48 @@ def _sorted_eigvals(xt):
     return np.maximum(vals, 0.0)
 
 
-def _null_eigvals(x, params: HornParams, table=None):
-    """Null spectra, shape ``(n_repeats, m)``, of a centred block ``x`` of
-    shape ``(n, m)``.
+def _null_eigvals(xc, params: HornParams, table=None):
+    """Null spectra, shape ``(K, n_repeats, m)``, of a stack of centred
+    blocks ``xc`` of shape ``(K, n, m)``.
 
     Permuting a column keeps its mean, so the permuted copies of a centred
-    block are centred too. The copies are gathered one column at a time,
-    ``permuted[t, j] = x[p[t, j], j]``, into a C-contiguous ``(t, m, n)``
-    array whose matrices are the transposed copies, one row per variable:
-    each trial's covariance is one product of such a matrix with its
-    transpose.
+    block are centred too. Each block is transposed and flattened, so its
+    column ``j`` starts at offset ``j * n``; trial ``t`` of every block of
+    the stack is then one ``np.take`` of the offsets ``j * n + p[t, j]``,
+    ``permuted[t, k, j] = x[k][p[t, j], j]``. The copies land in a
+    C-contiguous ``(t, K, m, n)`` array whose matrices are the transposed
+    copies, one row per variable: each trial's covariance is one product of
+    such a matrix with its transpose. Trials, then blocks, are taken in
+    chunks, one buffer for all of them: trials as ``_CHUNK_ENTRIES``
+    allows for one block, as without stacking, and blocks as
+    ``_STACK_ENTRIES`` allows for those trials.
     """
-    n, m = x.shape
-    xt = np.ascontiguousarray(x.T)
-    null = np.empty((params.n_repeats, m))
-    # Chunk trials so the permuted copies stay within a modest memory budget.
-    chunk = max(1, _CHUNK_ENTRIES // max(n * m, 1))
+    k, n, m = xc.shape
+    xt = np.ascontiguousarray(xc.swapaxes(1, 2)).reshape(k, m * n)
+    null = np.empty((k, params.n_repeats, m))
+    trials = min(params.n_repeats, max(1, _CHUNK_ENTRIES // (n * m)))
+    blocks = min(k, max(1, _STACK_ENTRIES // (trials * n * m)))
+    buffer = np.empty((trials, blocks, m, n))
     perms = None if table is None else table.columns(m)
-    for start in range(0, params.n_repeats, chunk):
-        stop = min(start + chunk, params.n_repeats)
+    starts = np.arange(0, m * n, n).reshape(m, 1)
+    offsets = np.empty((m, n), dtype=np.intp)
+    for t0 in range(0, params.n_repeats, trials):
+        t1 = min(t0 + trials, params.n_repeats)
         if perms is None:
-            p = _permutations(params.seed, range(start, stop), m, n)
+            p = _permutations(params.seed, range(t0, t1), m, n)
         else:
-            p = perms[start:stop]
-        permuted = np.empty((stop - start, m, n))
-        for j in range(m):
-            np.take(xt[j], p[:, j], out=permuted[:, j])
-        null[start:stop] = _sorted_eigvals(permuted)
+            p = perms[t0:t1]
+        for b0 in range(0, k, blocks):
+            b1 = min(b0 + blocks, k)
+            permuted = buffer[: t1 - t0, : b1 - b0]
+            for t in range(t1 - t0):
+                np.add(p[t], starts, out=offsets)
+                # The offsets are in range, so "wrap" changes none of them;
+                # unlike the default mode it fills ``out`` in place.
+                np.take(
+                    xt[b0:b1], offsets, axis=1, out=permuted[t], mode="wrap"
+                )
+            null[b0:b1, t0:t1] = _sorted_eigvals(permuted).swapaxes(0, 1)
     return null
 
 
@@ -194,13 +254,15 @@ def horn_components(
     params: HornParams | None = None,
     *,
     perms: _PermutationTable | None = None,
-) -> int:
-    """Number of components to retain for one standardized feature block.
+):
+    """Number of components to retain for a standardized feature block, or
+    for each block of a stack of blocks of one width.
 
     Parameters
     ----------
-    x : array, shape (n_samples, n_cols)
-        Standardized columns of a single feature cluster.
+    x : array, shape (n_samples, n_cols) or (n_blocks, n_samples, n_cols)
+        Standardized columns of a single feature cluster, or a stack of
+        such blocks; each block's count is the one it gets alone.
     params : HornParams, optional
         Trial count, percentile, and seed; defaults are 20 trials at the
         95th percentile with seed 0.
@@ -211,32 +273,41 @@ def horn_components(
 
     Returns
     -------
-    int
+    int, or list of ``n_blocks`` ints for a stack
         Length of the leading run of observed eigenvalues exceeding their
         rank-matched null percentile, floored at 1 and capped at
         ``min(n_samples - 1, n_cols)``.
     """
-    x = validate_matrix(x, name="x")
+    x = np.asarray(x)
+    stacked = x.ndim == 3
+    if stacked:
+        k, n, m = x.shape
+        if k < 1:
+            raise ValueError("x must hold at least one block")
+        xs = validate_matrix(x.reshape(k * n, m), name="x").reshape(k, n, m)
+    else:
+        xs = validate_matrix(x, name="x")[np.newaxis]
     if params is None:
         params = HornParams()
-    n, m = x.shape
+    _, n, m = xs.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
     if perms is not None and (perms.seed, perms.n_repeats, perms.n_rows) != (
         params.seed, params.n_repeats, n
     ):
         raise ValueError("permutation table does not match params and rows")
-    cap = min(n - 1, m)
     if m == 1:
         # Permuting a single column never changes its variance, so the
         # observed eigenvalue can never exceed the null; the floor applies.
-        return 1
-    xc = x - x.mean(axis=0)
-    observed = _sorted_eigvals(xc.T)
-    null = _null_eigvals(xc, params, perms)
-    thresholds = np.percentile(null, params.percentile, axis=0)
-    exceeds = observed > thresholds
-    # Count the leading run: once a rank fails to beat its null quantile,
-    # deeper ranks are spurious crossings, not evidence.
-    h = int(exceeds.size if exceeds.all() else np.argmin(exceeds))
-    return max(1, min(h, cap))
+        counts = [1] * len(xs)
+    else:
+        xc = xs - xs.mean(axis=1, keepdims=True)
+        observed = _sorted_eigvals(xc.swapaxes(1, 2))
+        null = _null_eigvals(xc, params, perms)
+        thresholds = np.percentile(null, params.percentile, axis=1)
+        exceeds = observed > thresholds
+        # Count the leading run: once a rank fails to beat its null
+        # quantile, deeper ranks are spurious crossings, not evidence.
+        h = np.where(exceeds.all(axis=1), m, exceeds.argmin(axis=1))
+        counts = np.clip(h, 1, min(n - 1, m)).tolist()
+    return counts if stacked else counts[0]

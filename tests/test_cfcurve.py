@@ -119,8 +119,12 @@ class TestCfCurve:
             raise AssertionError("Ward ran before the cut was checked")
 
         monkeypatch.setattr(sparca.cfcurve, "ward_linkage", no_ward)
-        with pytest.raises(ValueError, match="grid values must be integers"):
-            cf_curve(block_data, grid=[1.5, 2.7, 3.2])
+        # np.asarray would read [True, 2, 3] as [1, 2, 3].
+        for grid in ([1.5, 2.7, 3.2], [True, 2, 3], [np.True_, 2], [1, "2"]):
+            with pytest.raises(
+                ValueError, match="grid values must be integers"
+            ):
+                cf_curve(block_data, grid=grid)
         for k in (2.5, 2.0, "2"):
             with pytest.raises(ValueError, match="must be an integer"):
                 sparca.pipeline.fit(block_data, n_clusters=k)
@@ -138,10 +142,20 @@ class TestCfCurve:
         assert model.n_clusters == 8
 
     def test_threads_do_not_change_result(self, block_data):
-        grid = [2, 8, 30]
-        a = cf_curve(block_data, grid=grid, n_threads=1)
-        b = cf_curve(block_data, grid=grid, n_threads=4)
-        assert np.array_equal(a.n_features, b.n_features)
+        # Every node's count, stacked with others of its width on any
+        # thread, is the count it gets alone.
+        params = HornParams(seed=5)
+        grid = [2, 3, 5, 8, 13, 21, 34, 55, 80]
+        one, two = (
+            sparca.cfcurve.FeatureTree(block_data, params, n_threads).cuts(grid)
+            for n_threads in (1, 2)
+        )
+        Xs = standardize_apply(standardize_fit(block_data), block_data)
+        for (groups, counts), (groups2, counts2) in zip(one, two):
+            assert [g.tolist() for g in groups] == [g.tolist() for g in groups2]
+            assert counts == counts2 == [
+                horn_components(Xs[:, cols], params) for cols in groups
+            ]
 
     def test_horn_runs_once_per_distinct_node(self, block_data, monkeypatch):
         grid = [2, 4, 8, 12, 20, 40]
@@ -150,17 +164,18 @@ class TestCfCurve:
         nodes = {
             node for k in grid for node in _cut_groups(linkage, k)[0]
         }
-        calls = 0
+        blocks = []
         horn = sparca.cfcurve.horn_components
 
-        def counting_horn(x, params, **kwargs):
-            nonlocal calls
-            calls += 1
+        def recording_horn(x, params, **kwargs):
+            # Each call gets one width class of new nodes as a stack.
+            assert x.ndim == 3
+            blocks.extend(block.tobytes() for block in x)
             return horn(x, params, **kwargs)
 
-        monkeypatch.setattr(sparca.cfcurve, "horn_components", counting_horn)
+        monkeypatch.setattr(sparca.cfcurve, "horn_components", recording_horn)
         cf_curve(block_data, grid=grid, n_threads=1)
-        assert calls == len(nodes)
+        assert len(blocks) == len(set(blocks)) == len(nodes)
 
     def test_each_cut_sizes_its_own_table(self, monkeypatch):
         # A cap of 10 columns at 60 rows: the first call's table is narrower

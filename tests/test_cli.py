@@ -89,7 +89,7 @@ class TestFit:
             return ward(d, m)
 
         def recording_horn(x, params, **kwargs):
-            horn_blocks.append(x.tobytes())
+            horn_blocks.extend(block.tobytes() for block in x)
             return horn(x, params, **kwargs)
 
         monkeypatch.setattr(sparca.cfcurve, "ward_linkage", counting_ward)

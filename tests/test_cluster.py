@@ -284,6 +284,34 @@ class TestCutToK:
                 sorted(leaves) for _, leaves in expected
             ]
 
+    @pytest.mark.parametrize(
+        "name", sorted(_TIE_INPUTS) + ["random30", "random97"]
+    )
+    def test_cut_groups_equal_one_scan_per_cluster(self, name):
+        # The groups as one np.flatnonzero scan per cluster builds them.
+        if name.startswith("random"):
+            m = int(name[len("random"):])
+            X = _standardized(np.random.default_rng(m), 20, m)
+        else:
+            X = _TIE_INPUTS[name]
+            m = X.shape[1]
+        linkage = ward_linkage(feature_distances(X), m)
+        for k in range(1, m + 1):
+            top = list(range(2 * m - 1))
+            for i in reversed(range(m - k)):
+                top[linkage.left[i]] = top[linkage.right[i]] = top[m + i]
+            roots = np.array(top[:m])
+            _, first = np.unique(roots, return_index=True)
+            expected_ids = roots[np.sort(first)].tolist()
+            node_ids, groups = _cut_groups(linkage, k)
+            assert node_ids == expected_ids
+            assert len(groups) == k
+            assert all(type(node) is int for node in node_ids)
+            for node, group in zip(node_ids, groups):
+                expected = np.flatnonzero(roots == node)
+                assert group.dtype == expected.dtype
+                assert np.array_equal(group, expected)
+
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         X = _standardized(rng, 30, 7)

@@ -13,6 +13,7 @@ from sparca.evalkit import (
     KKT_TOL,
     L1LogRegModel,
     PcaBaseline,
+    downstream_eval,
     gen_synthetic,
     l1_logreg_fit,
     l1_logreg_predict,
@@ -308,6 +309,49 @@ class TestSplitsAndSelection:
             select_lambda(X, y, lambdas=lambdas, n_folds=n_folds, seed=0)
 
 
+class _NoTransform:
+    def transform(self, X):
+        raise AssertionError("transformed before rejecting the seed")
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "float", "neg"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: stratified_split(np.arange(60) % 2, [10], seed=seed),
+        lambda seed: select_lambda(
+            np.ones((60, 2)), np.arange(60) % 2, [0.1], n_folds=3, seed=seed
+        ),
+        lambda seed: downstream_eval(
+            _NoTransform(), None, None, None, None, seed=seed
+        ),
+        lambda seed: noise_robustness(
+            [_NoTransform()], [None], np.ones((4, 2)), [0] * 4, [0.0],
+            seed=seed,
+        ),
+    ],
+    ids=["stratified_split", "select_lambda", "downstream_eval", "noise"],
+)
+def test_bad_seed_rejected(seed, call):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        call(seed)
+
+
+def test_numpy_integer_seeds_accepted():
+    y = np.arange(60) % 3
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(
+            stratified_split(y, [10, 20], seed=np.int64(4)),
+            stratified_split(y, [10, 20], seed=4),
+        )
+    )
+    X = np.random.default_rng(0).standard_normal((60, 3))
+    assert select_lambda(X, y, [0.1, 1.0], n_folds=3, seed=np.uint8(2))[0] == (
+        select_lambda(X, y, [0.1, 1.0], n_folds=3, seed=2)[0]
+    )
+
+
 @pytest.fixture(scope="module")
 def setup():
     X, _ = block_factor_data(300, n_blocks=4, block_size=8, seed=2)
@@ -337,6 +381,14 @@ class TestNoiseRobustness:
         X_test, y_test, drs, clfs = setup
         table = noise_robustness(drs, clfs, X_test, y_test, [100.0], seed=0)
         assert (np.abs(table - 0.5) < 0.2).all()
+
+    def test_numpy_integer_seed_accepted(self, setup):
+        X_test, y_test, drs, clfs = setup
+        args = drs, clfs, X_test, y_test, [1.0]
+        assert np.array_equal(
+            noise_robustness(*args, seed=np.int32(5)),
+            noise_robustness(*args, seed=5),
+        )
 
     def test_misaligned_lists_rejected(self, setup):
         X_test, y_test, drs, clfs = setup

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparca.horn
+from sparca.data import standardize_apply, standardize_fit
 from sparca.horn import (
     _CHUNK_ENTRIES,
     HornParams,
@@ -15,7 +16,7 @@ from sparca.horn import (
 )
 
 from conftest import block_factor_data, rank1_snr_block
-from oracles import horn_null_eigvals, horn_permutation
+from oracles import horn_null_eigvals, horn_permutation, splitmix64
 
 
 def _standardize(X):
@@ -180,7 +181,8 @@ class TestPermutationTable:
         for m in (1, 6, 11, 14, 3):
             x = _standardize(X[:, :m])
             assert np.array_equal(
-                _null_eigvals(x, params, table), _null_eigvals(x, params)
+                _null_eigvals(x[None], params, table),
+                _null_eigvals(x[None], params),
             )
             assert horn_components(x, params, perms=table) == horn_components(
                 x, params
@@ -234,7 +236,7 @@ class TestNullOracle:
         params = HornParams(seed=3)
         x = _standardize(block_factor_data(n, seed=1)[0][:, :m])
         expected = horn_null_eigvals(x, params.seed, params.n_repeats)
-        self._assert_close(_null_eigvals(x, params), expected)
+        self._assert_close(_null_eigvals(x[None], params)[0], expected)
 
     def test_block_wider_than_the_table_matches_oracle(self, monkeypatch):
         # A cap of 12 columns at 8 rows: the 14-column block permutes per
@@ -245,7 +247,9 @@ class TestNullOracle:
         table = _PermutationTable(params, *x.shape)
         assert table.columns(14) is None
         expected = horn_null_eigvals(x, params.seed, params.n_repeats)
-        self._assert_close(_null_eigvals(x, params, table), expected)
+        self._assert_close(
+            _null_eigvals(x[None], params, table)[0], expected
+        )
 
     @staticmethod
     def _assert_close(got, expected):
@@ -266,3 +270,124 @@ def test_stacked_eigvals_equal_per_matrix_calls(n, m, layout):
         x = np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
     per_matrix = np.stack([_sorted_eigvals(xi) for xi in x])
     assert np.array_equal(_sorted_eigvals(x), per_matrix)
+
+
+def _stack(n, m, k, seed):
+    """``k`` standardized ``(n, m)`` blocks of factor data, as one stack."""
+    X, _ = block_factor_data(n, seed=seed)
+    Xs = standardize_apply(standardize_fit(X), X)
+    return np.stack([Xs[:, 5 * i : 5 * i + m] for i in range(k)])
+
+
+def _oracle_count(x, params):
+    """Horn's count of block ``x`` from the oracle's null spectra."""
+    n, m = x.shape
+    null = horn_null_eigvals(x, params.seed, params.n_repeats)
+    thresholds = np.percentile(null, params.percentile, axis=0)
+    exceeds = _cov_eigvals(x) > thresholds
+    h = m if exceeds.all() else int(np.argmin(exceeds))
+    return max(1, min(h, n - 1, m))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "n, m, cap",
+        [(30, 6, None), (9, 14, None), (30, 1, None), (8, 14, 12)],
+        ids=["cov", "gram", "single", "wider-than-table"],
+    )
+    def test_stacked_counts_equal_blocks_and_oracle(
+        self, monkeypatch, k, n, m, cap
+    ):
+        # "wider-than-table": a cap of 12 columns at 8 rows, so the
+        # 14-column blocks permute per chunk of trials, outside the table.
+        if cap is not None:
+            monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * cap * n)
+        params = HornParams(seed=4)
+        stack = _stack(n, m, k, seed=2)
+        table = _PermutationTable(params, n, m)
+        counts = horn_components(stack, params, perms=table)
+        assert counts == horn_components(stack, params)
+        assert counts == [horn_components(x, params) for x in stack]
+        if m == 1:
+            assert counts == [1] * k
+            return
+        assert counts == [_oracle_count(x, params) for x in stack]
+        xc = stack - stack.mean(axis=1, keepdims=True)
+        null = _null_eigvals(xc, params, table)
+        for x, got in zip(stack, null):
+            expected = horn_null_eigvals(x, params.seed, params.n_repeats)
+            TestNullOracle._assert_close(got, expected)
+
+    def test_stack_input_validated(self):
+        stack = _stack(30, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="at least one block"):
+            horn_components(stack[:0])
+        bad = stack.copy()
+        bad[1, 3, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            horn_components(bad)
+        with pytest.raises(ValueError, match="2 samples"):
+            horn_components(stack[:, :1])
+        with pytest.raises(ValueError, match="2-dimensional"):
+            horn_components(stack[None])
+
+    def test_permuted_copies_stay_within_the_stack_budget(self, monkeypatch):
+        # Unchunked, the permuted copies of this stack would take 50 * 20 *
+        # 4 * 1000 entries, 32 MB; the budget allows 2 blocks of all trials.
+        budget = 2 * 20 * 4 * 1000
+        monkeypatch.setattr(sparca.horn, "_STACK_ENTRIES", budget)
+        params = HornParams(seed=1)
+        stack = np.ascontiguousarray(
+            np.random.default_rng(0).standard_normal((50, 1000, 4))
+        )
+        table = _PermutationTable(params, 1000, 4)
+        tracemalloc.start()
+        try:
+            counts = horn_components(stack, params, perms=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The centred stack and its transposed copy, and one buffer of
+        # permuted copies that every chunk reuses.
+        assert peak < 2 * stack.nbytes + 8 * budget + (1 << 20)
+        assert counts == [horn_components(x, params) for x in stack]
+
+
+class TestPackedSort:
+    # Seed 2**22 - 1 flips every row bit of the packed values. Under an
+    # identity hash the keys of a stream are then ``c << 22 | (2**22 - 1 -
+    # row)``: distinct, their high parts all tied, and in descending row
+    # order, the reverse of the order a tie broken by row index gives.
+    SEED = (1 << 22) - 1
+
+    @staticmethod
+    def _keys(t, c, n_rows):
+        packed = [
+            (t << 44 | c << 22 | row) ^ TestPackedSort.SEED
+            for row in range(n_rows)
+        ]
+        if c % 2 == 1:
+            packed = [splitmix64(z) for z in packed]
+        return np.array(packed, dtype=np.uint64)
+
+    @pytest.mark.parametrize("n_rows", [23, 1000])
+    def test_tied_streams_fall_back_to_the_full_keys(
+        self, monkeypatch, n_rows
+    ):
+        real = sparca.horn._mix64
+
+        def odd_columns_only(z):
+            # Odd columns are hashed; even columns (and the seed) are not.
+            odd = (z >> np.uint64(22)) & np.uint64(1) == 1
+            z[odd] = real(z[odd])
+            return z
+
+        monkeypatch.setattr(sparca.horn, "_mix64", odd_columns_only)
+        trials = [0, 5]
+        perms = _permutations(self.SEED, trials, 4, n_rows)
+        for i, t in enumerate(trials):
+            for c in range(4):
+                expected = np.argsort(self._keys(t, c, n_rows), kind="stable")
+                assert np.array_equal(perms[i, c], expected)
+            assert np.array_equal(perms[i, 0], np.arange(n_rows)[::-1])
