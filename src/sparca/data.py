@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import gzip
 import math
 import numbers
 import os
+import re
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +20,9 @@ VARIANCE_EPS = 1e-12
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
+
+_DATA_LINE = re.compile(r"(?!\s*#|\n?\Z)")  # neither a comment nor empty
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,38 +136,41 @@ def standardize_apply(scaler: Scaler, X):
 def load_csv(path, has_header=False, label_col=None):
     """Load a numeric CSV as a samples-by-features matrix.
 
-    Lines starting with ``#`` are skipped, as is a single header row when
-    ``has_header`` is set. With ``label_col`` the given column is split off,
-    rounded to integer class ids, and returned alongside the matrix.
+    Empty lines and comment lines, whose first non-blank character is
+    ``#``, are skipped; with ``has_header`` so is the first line left, a
+    header. Each other line is a row of comma-separated numbers in numpy's
+    syntax, blank-padded or double-quoted at will. Unlike ``float()``, that
+    syntax rejects ``1_000`` and non-ASCII digits and takes ``\\x1c`` to
+    ``\\x1f`` for blanks; a line of blanks is an error. With ``label_col``
+    the given column is split off, rounded to integer class ids, and
+    returned alongside the matrix.
     """
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header_pending = has_header
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header_pending:
-                header_pending = False
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    data = list(filter(_DATA_LINE.match, text))[bool(has_header):]
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        X = np.loadtxt(data, **_LOADTXT)
+    except ValueError as exc:  # numpy does not say which line of the file
+        linenos = [n for n, s in enumerate(text, 1) if _DATA_LINE.match(s)]
+        width = None
+        for lineno, line in zip(linenos[bool(has_header):], data):
             try:
-                values = [float(cell) for cell in row]
+                cells = np.loadtxt([line], **_LOADTXT).shape[1]
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric value on line {lineno}"
                 ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+            if cells != (width := width or cells):
                 raise ValueError(
                     f"{path}: ragged row on line {lineno} "
-                    f"({len(values)} cells, expected {width})"
-                )
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    X = np.asarray(rows, dtype=np.float64)
+                    f"({cells} cells, expected {width})"
+                ) from None
+        raise ValueError(f"{path}: {exc}") from None
     if label_col is None:
         return validate_matrix(X, name=str(path))
     if not -X.shape[1] <= label_col < X.shape[1]:

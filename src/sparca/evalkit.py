@@ -83,6 +83,7 @@ def gen_synthetic(n_samples, n_features, effective_rank, seed=0):
     participation ratio matches ``effective_rank`` to well within 5%; a rank
     outside ``[1, min(n_samples, n_features)]`` raises ``ValueError``.
     """
+    _check_seed(seed)
     n, m = n_samples, n_features
     limit = min(n, m)
     if not 1 <= effective_rank <= limit:
@@ -129,23 +130,21 @@ def l1_logreg_fit(
     gradient is at most ``KKT_TOL``, which is then the largest KKT violation
     unless a weight part lies strictly inside (0, KKT_TOL). ``max_iter`` caps
     its iterations; reaching it returns the current iterate. ``init``
-    warm-starts the weights. An abnormal line-search exit raises
-    ``RuntimeError``. ``scipy.optimize``, ``scipy.special`` and scipy's
-    BLAS are imported here, not at module level: loading them adds about
-    14 MB of resident memory to every process that imports sparca, and
-    about 0.2 s to the start of every ``sparca`` command.
+    warm-starts the weights. ``y`` must hold class ids 0..K-1, K >= 2, each
+    at least once. An abnormal line-search exit raises ``RuntimeError``.
+    ``scipy.optimize``, ``scipy.special`` and scipy's BLAS are imported
+    here, not at module level: loading them adds about 14 MB of resident
+    memory to every process that imports sparca, and about 0.2 s to the
+    start of every ``sparca`` command.
     """
     X = validate_matrix(X)
-    y = np.asarray(y, dtype=np.int64).ravel()
+    y = _check_labels(y, "y")
     n, p = X.shape
     if y.size != n:
         raise ValueError("label count does not match sample count")
     if not (is_number(lam) and 0.0 <= lam < np.inf):
         raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
-    if n_classes < 2 or (counts == 0).any():
-        raise ValueError("need >= 2 classes, each with >= 1 sample")
+    n_classes = _class_counts(y, 1).size
 
     Y = np.zeros((n, n_classes), order="F")
     Y[np.arange(n), y] = 1.0
@@ -215,6 +214,41 @@ def _check_seed(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _check_labels(y, name):
+    """``y`` as a 1-D int64 array; raises ``ValueError`` naming ``name``
+    unless it holds integer class ids >= 0 (a cast would truncate 1.7 to 1
+    and send a negative id to numpy's own errors)."""
+    y = np.asarray(y).ravel()
+    with np.errstate(invalid="ignore"):
+        labels = y.astype(np.int64) if y.dtype.kind in "iuf" else None
+    if labels is None or ((labels != y) | (labels < 0)).any():
+        raise ValueError(f"{name} must hold integer class ids >= 0")
+    return labels
+
+
+def _class_counts(y, min_count):
+    """Samples of each class 0..max(y) of checked labels ``y``.
+
+    Raises ``ValueError`` unless there are at least 2 classes with
+    ``min_count`` samples each. A label >= the sample count cannot meet
+    that, and is rejected before its class count is allocated.
+    """
+    top = int(y.max())
+    if top >= y.size:
+        raise ValueError(
+            f"y holds class id {top}, but {y.size} samples cannot fill "
+            f"classes 0..{top}"
+        )
+    counts = np.bincount(y)
+    short = np.flatnonzero(counts < min_count)
+    if counts.size < 2 or short.size:
+        message = f"need >= 2 classes, each with >= {min_count} samples"
+        if short.size:
+            message += f"; class {short[0]} has {counts[short[0]]}"
+        raise ValueError(message)
+    return counts
+
+
 def stratified_split(y, sizes, seed: int = 0):
     """Disjoint stratified index sets with the requested total sizes.
 
@@ -224,7 +258,7 @@ def stratified_split(y, sizes, seed: int = 0):
     >= 0 that sum to at most the sample count.
     """
     _check_seed(seed)
-    y = np.asarray(y, dtype=np.int64).ravel()
+    y = _check_labels(y, "y")
     sizes = list(sizes)
     if not all(map(is_integer, sizes)):
         raise ValueError(f"split sizes must be integers, got {sizes}")
@@ -270,21 +304,30 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     The grid is swept from strongest to weakest regularization with warm
     starts. Ties prefer the stronger penalty. Returns ``(best_lambda,
     mean_accuracies)`` with accuracies aligned to the given grid. Raises
-    ``ValueError`` for an empty grid or a fold count that is not an integer
-    from 2 to the size of the largest class (a larger count would leave a
-    fold empty).
+    ``ValueError``, before any fit, for a grid that is empty, not 1-D or
+    holds a value that is not a finite number >= 0; for labels that are not
+    class ids 0..K-1 with K >= 2 and at least 2 samples each; and for a fold
+    count that is not an integer from 2 to the size of the largest class (a
+    larger count would leave a fold empty).
     """
     _check_seed(seed)
     X = validate_matrix(X)
-    y = np.asarray(y, dtype=np.int64).ravel()
+    y = _check_labels(y, "y")
+    if y.size != X.shape[0]:
+        raise ValueError("label count does not match sample count")
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
         raise ValueError("the lambda grid is empty")
+    if lambdas.ndim != 1 or not (np.isfinite(lambdas) & (lambdas >= 0)).all():
+        raise ValueError(
+            f"lambdas must be a 1-D grid of finite numbers >= 0, got {lambdas}"
+        )
     if not is_integer(n_folds):
         raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
-    classes, counts = np.unique(y, return_counts=True)
+    # Each class needs a sample in every training fold.
+    counts = _class_counts(y, 2)
     if not 2 <= n_folds <= counts.max():
         raise ValueError(
             f"n_folds must be between 2 and the largest class size "
@@ -292,7 +335,7 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
         )
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
-    for cls in classes:
+    for cls in range(counts.size):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         for i, sample in enumerate(idx):
@@ -334,6 +377,8 @@ def downstream_eval(
     result's ``values``. Returns ``(test_accuracy, classifier, best_lambda)``.
     """
     _check_seed(seed)
+    y_train = _check_labels(y_train, "y_train")
+    y_test = _check_labels(y_test, "y_test")
     R_train = dr_model.transform(X_train).values
     R_test = dr_model.transform(X_test).values
     best_lambda, _ = select_lambda(
@@ -399,7 +444,7 @@ def noise_robustness(
     if not dr_models:
         raise ValueError("need at least one model")
     X_test = validate_matrix(X_test)
-    y_test = np.asarray(y_test, dtype=np.int64).ravel()
+    y_test = _check_labels(y_test, "y_test")
     scaler = dr_models[0].scaler
     scale = scaler.stds  # sigma is expressed in standardized units
     rng = np.random.default_rng(seed)
@@ -484,6 +529,7 @@ def profile_runtime(sample_grid, feature_grid, repeats: int = 3, seed: int = 0):
     2x the rank. Medians over ``repeats`` runs per size; slopes are least
     squares fits on log-log points.
     """
+    _check_seed(seed)
     if not (is_integer(repeats) and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     sample_grid = _validate_grid(sample_grid, "sample_grid")

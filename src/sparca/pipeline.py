@@ -411,7 +411,7 @@ def load_model(path) -> SparcaModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not a valid model file ({exc})") from exc
     try:
         version = doc["format_version"]

@@ -6,9 +6,12 @@ are norms of column differences taken one pair at a time, cuts replay the
 kept merges with Python sets, the matching pursuit path re-solves every
 least-squares fit from scratch with ``np.linalg.lstsq``, Horn's null
 hashes every sort key with Python integers and permutes one column at a time,
-and the logistic loss gradient is formed from its textbook formula rather
-than the solver's split-sign objective.
+the logistic loss gradient is formed from its textbook formula rather
+than the solver's split-sign objective, and a CSV file is read one cell at a
+time with ``csv.reader`` and ``float()``.
 """
+
+import csv
 
 import numpy as np
 from scipy.special import expit
@@ -185,3 +188,36 @@ def smooth_gradient(model, X, y):
     Y[np.arange(n), y] = 1.0
     P = expit(X @ model.weights.T + model.intercepts)
     return (X.T @ (P - Y) / n).T, (P - Y).mean(axis=0)
+
+
+def float_csv(path, has_header=False):
+    """The matrix of a numeric CSV read with ``csv.reader`` and ``float()``
+    per cell, raising ``load_csv``'s messages for the first faulty record.
+
+    Records whose first cell starts, after blanks, with ``#`` and empty
+    records are skipped, and so is the next record with ``has_header``.
+    """
+    rows, width = [], None
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if has_header:
+                has_header = False
+                continue
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric value on line {lineno}"
+                ) from None
+            width = width or len(values)
+            if len(values) != width:
+                raise ValueError(
+                    f"{path}: ragged row on line {lineno} "
+                    f"({len(values)} cells, expected {width})"
+                )
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import float_csv
 from sparca.data import (
     Scaler,
     load_csv,
@@ -98,6 +100,23 @@ class TestStandardize:
             validate_matrix(X)
 
 
+# Cells in the syntax numpy and float() share, and cells neither accepts;
+# the syntax where they differ is left out.
+_CSV_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "1e5", "-2.5E-3", ".5", "5.", "+1", " 7 ", "\t8", '"9"', '" 1.5 "',
+        '"1"2', "-0.0", "Infinity", "", "x", "1 2", "1e", "--1", "0x1",
+        "3 # x",
+    ]),
+)
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "   ", "# comment", " \t# comment, 1", "a,b"]),
+)
+
+
 class TestCsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -148,6 +167,143 @@ class TestCsv:
         path = tmp_path / "m.csv"
         path.write_bytes(b"1.0,2.0\r\n3.0,4.0\r\n")
         assert load_csv(path).shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "text, has_header, expected",
+        [
+            (b"1,2\r\n3,4\r\n", False, [[1, 2], [3, 4]]),
+            (b"1,2\r3,4", False, [[1, 2], [3, 4]]),
+            (b'"1","2.5"\n" 3 ",4\n', False, [[1, 2.5], [3, 4]]),
+            (b"\n1,2\n\n\n3,4\n\n", False, [[1, 2], [3, 4]]),
+            (b"# a\n  # b\n\na,b\n# c\n1,2\n", True, [[1, 2]]),
+            (b"1.5,-2,3e-300\n", False, [[1.5, -2, 3e-300]]),
+            (b"1\n2\n3\n", False, [[1], [2], [3]]),
+            (b"7\n", False, [[7]]),
+            (b"1E3,+2.5e+2,.5,5.,1e-320\n", False,
+             [[1000, 250, 0.5, 5, 1e-320]]),
+            (b" 1 ,\t2\t\n", False, [[1, 2]]),
+            (b"0001,1.7976931348623157e308\n", False,
+             [[1, 1.7976931348623157e308]]),
+        ],
+        ids=["crlf", "cr-only", "quoted", "empty-lines",
+             "header-after-comments", "exponents", "one-column", "one-cell",
+             "number-syntax", "blanks", "zeros-and-max"],
+    )
+    def test_corpus(self, tmp_path, text, has_header, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        X = load_csv(path, has_header=has_header)
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.shape == np.shape(expected)
+        assert np.array_equal(X, expected)
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("-0.0,0.0\n")
+        assert np.signbit(load_csv(path)).tolist() == [[True, False]]
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e400"])
+    def test_non_finite_values_rejected(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match="contains NaN or infinite"):
+            load_csv(path)
+
+    def test_label_column_after_comments_and_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# made by hand\nx,y,label\n\n1,2,3\n4,5,0\n")
+        X, y = load_csv(path, has_header=True, label_col=-1)
+        assert X.tolist() == [[1, 2], [4, 5]]
+        assert y.dtype == np.int64 and y.tolist() == [3, 0]
+
+    @pytest.mark.parametrize(
+        "text, has_header, message",
+        [
+            ("# c\n\nh\n1,2\n# c\n\n3\n", True,
+             "ragged row on line 7 (1 cells, expected 2)"),
+            ("# c\n\n1,2\n3,4,5\n", False,
+             "ragged row on line 4 (3 cells, expected 2)"),
+            ("# c\n\nh\n1,2\n# c\n3,x\n", True,
+             "non-numeric value on line 6"),
+            ("# c\r\n\r\n1,2\r\n3,\r\n", False,
+             "non-numeric value on line 4"),
+            ("# c\n1,2\n   \n", False, "non-numeric value on line 3"),
+            ("# c\n\na,b\n1,2\n", False, "non-numeric value on line 3"),
+            ("1,2\n3,4,x\n", False, "non-numeric value on line 2"),
+            ("1,2\n3,4 # note\n", False, "non-numeric value on line 2"),
+            ("1,2\n3,1_000\n", False, "non-numeric value on line 2"),
+            ("1,2\n\u0663,4\n", False, "non-numeric value on line 2"),
+            ("# c\n\n# d\n", False, "no data rows"),
+            ("# c\nheader\n\n", True, "no data rows"),
+        ],
+        ids=["ragged-short", "ragged-long", "non-numeric", "empty-cell-crlf",
+             "blank-line", "header-not-skipped", "non-numeric-before-ragged",
+             "trailing-comment",
+             "underscore", "non-ascii-digit", "only-comments", "only-header"],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, text, has_header,
+                                       message):
+        # Line numbers count every line: comments, empty lines, the header.
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(path, has_header=has_header)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_non_utf8_file_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(ValueError, match="not UTF-8 text") as excinfo:
+            load_csv(path)
+        assert type(excinfo.value) is ValueError
+        assert str(path) in str(excinfo.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(_CSV_LINES, max_size=6),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        has_header=st.booleans(),
+    )
+    def test_matches_the_float_reader(self, tmp_path_factory, lines,
+                                      newline, has_header):
+        path = tmp_path_factory.mktemp("ref") / "m.csv"
+        path.write_text(newline.join(lines) + newline, newline="")
+        try:
+            expected = float_csv(path, has_header)
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            if not np.isfinite(expected).all():
+                expected = f"{path} contains NaN or infinite values"
+        try:
+            X = load_csv(path, has_header=has_header)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert X.dtype == expected.dtype and X.shape == expected.shape
+            assert X.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+        comments=st.lists(
+            st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                    max_size=10),
+            max_size=3,
+        ),
+        header=st.booleans(),
+    )
+    def test_write_then_load_is_exact(self, tmp_path_factory, shape, scale,
+                                      seed, comments, header):
+        X = np.random.default_rng(seed).standard_normal(shape) * scale
+        names = [f"c{j}" for j in range(shape[1])] if header else None
+        path = tmp_path_factory.mktemp("rt") / "m.csv"
+        write_csv(X, path, comments=comments, header=names)
+        back = load_csv(path, has_header=header)
+        assert back.dtype == X.dtype and back.shape == X.shape
+        assert back.tobytes() == X.tobytes()
 
 
 def _write_idx_pair(tmp_path, images, labels, image_magic=2051, label_magic=2049,

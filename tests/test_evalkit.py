@@ -60,6 +60,12 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="infeasible"):
             gen_synthetic(10, 20, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+    def test_bad_seed_rejected(self, seed):
+        # default_rng would take True as 1 and raise its own TypeError on 1.5.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            gen_synthetic(10, 5, 2, seed=seed)
+
 
 def _ten_class_problem():
     """400 samples of 10 overlapping Gaussian classes in 30 features."""
@@ -352,6 +358,111 @@ def test_numpy_integer_seeds_accepted():
     )
 
 
+def _count_fits(monkeypatch):
+    """Make every l1_logreg_fit call through evalkit count itself."""
+    calls = []
+    real = sparca.evalkit.l1_logreg_fit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparca.evalkit, "l1_logreg_fit", counted)
+    return calls
+
+
+_X4 = np.arange(8.0).reshape(4, 2)
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "labels", [[0.2, 1.7, 0.4, 1.1], [0, 1, -1, 1], [0, 1, np.nan, 1],
+                   ["0", "1", "0", "1"], [True, False, True, False]],
+        ids=["fractional", "negative", "nan", "strings", "booleans"],
+    )
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda y: l1_logreg_fit(_X4, y, 0.1), "y"),
+            (lambda y: stratified_split(y, [2]), "y"),
+            (lambda y: select_lambda(_X4, y, [0.1], n_folds=2), "y"),
+            (lambda y: downstream_eval(
+                _NoTransform(), _X4, y, _X4, [0, 1, 0, 1]), "y_train"),
+            (lambda y: downstream_eval(
+                _NoTransform(), _X4, [0, 1, 0, 1], _X4, y), "y_test"),
+            (lambda y: noise_robustness(
+                [_NoTransform()], [None], _X4, y, [0.0]), "y_test"),
+        ],
+        ids=["l1_logreg_fit", "stratified_split", "select_lambda",
+             "downstream_eval-train", "downstream_eval-test", "noise"],
+    )
+    def test_labels_that_are_not_class_ids_rejected(self, labels, call, name):
+        # A cast to int64 would fit 0.2, 1.7, 0.4, 1.1 as classes 0, 1, 0, 1.
+        with pytest.raises(
+            ValueError, match=f"^{name} must hold integer class ids >= 0"
+        ):
+            call(labels)
+
+    def test_label_of_the_sample_count_rejected(self):
+        # The class count is sized from the largest label, so a label of
+        # 1e11 used to allocate 745 GiB; one label past the sample count
+        # is rejected by the same check without allocating anything.
+        with pytest.raises(ValueError, match="y holds class id 4, but 4"):
+            l1_logreg_fit(_X4, [0, 1, 0, 4], 0.1)
+        # Integral floats and numpy integers are class ids.
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        y = np.arange(20) % 2
+        expected = l1_logreg_fit(X, y, 0.1).weights
+        for labels in (y.astype(float), y.astype(np.uint8)):
+            assert np.array_equal(
+                l1_logreg_fit(X, labels, 0.1).weights, expected
+            )
+
+    def test_missing_class_named(self):
+        with pytest.raises(ValueError, match="; class 1 has 0$"):
+            l1_logreg_fit(_X4, [0, 2, 0, 2], 0.1)
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ([0] * 10 + [1] + [2] * 10,
+             "each with >= 2 samples; class 1 has 1$"),
+            ([0] * 10 + [2] * 11, "each with >= 2 samples; class 1 has 0$"),
+            ([0] * 20 + [21], "y holds class id 21, but 21 samples"),
+            ([0] * 21, "need >= 2 classes, each with >= 2 samples$"),
+        ],
+        ids=["single-sample-class", "missing-class", "label-past-count",
+             "one-class"],
+    )
+    def test_select_lambda_checks_classes_before_any_fit(
+        self, monkeypatch, y, message
+    ):
+        # One training fold of the first case lacks class 1, which used to
+        # fail in the middle of cross-validation.
+        calls = _count_fits(monkeypatch)
+        X = np.random.default_rng(0).standard_normal((21, 3))
+        with pytest.raises(ValueError, match=message):
+            select_lambda(X, y, [0.1, 1.0], n_folds=2)
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "grid", [[0.1, -1.0], [[0.1, 1.0]], [0.1, np.nan], [np.inf], 0.1],
+        ids=["negative", "2-D", "nan", "inf", "scalar"],
+    )
+    def test_select_lambda_checks_grid_before_any_fit(self, monkeypatch, grid):
+        calls = _count_fits(monkeypatch)
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        with pytest.raises(ValueError, match="lambdas must be a 1-D grid"):
+            select_lambda(X, np.arange(20) % 2, grid, n_folds=2)
+        assert not calls
+
+    def test_select_lambda_label_count_mismatch(self, monkeypatch):
+        calls = _count_fits(monkeypatch)
+        with pytest.raises(ValueError, match="label count does not match"):
+            select_lambda(np.ones((20, 3)), np.arange(19) % 2, [0.1])
+        assert not calls
+
+
 @pytest.fixture(scope="module")
 def setup():
     X, _ = block_factor_data(300, n_blocks=4, block_size=8, seed=2)
@@ -443,6 +554,17 @@ class TestProfileRuntime:
         with pytest.raises(ValueError, match="repeats must be an integer"):
             profile_runtime(
                 [60, 120, 240, 480], [24, 48, 96, 192], repeats=repeats
+            )
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_bad_seed_rejected_before_any_fit(self, monkeypatch, seed):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the seed")
+
+        monkeypatch.setattr(sparca.evalkit, "_timed_fit", no_fit)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            profile_runtime(
+                [60, 120, 240, 480], [24, 48, 96, 192], repeats=1, seed=seed
             )
 
     def test_smoke(self):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a valid model file"):
             load_model(path)
 
+    def test_non_utf8_file_rejected_with_its_path(self, block_model, tmp_path):
+        _, _, model = block_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(ValueError, match="not a valid model file") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize(
         "corrupt, match",
         [
@@ -560,3 +570,17 @@ def test_import_leaves_scipy_unloaded():
         text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_version_is_the_one_model_files_record():
+    # pyproject.toml reads the version from sparca._version, the string
+    # save_model writes as library_version, instead of repeating it.
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+        project = config.read_configuration(
+            root / "pyproject.toml", expand=True
+        )["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == sparca.__version__
