@@ -102,8 +102,13 @@ def _int_list(text):
     return [int(v) for v in text.split(",") if v]
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
+def _noise_levels(text):
+    values = [float(v) for v in text.split(",") if v]
+    if not all(0.0 <= v < np.inf for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be finite numbers >= 0, got {text!r}"
+        )
+    return values
 
 
 def cmd_fit(args) -> int:
@@ -207,6 +212,8 @@ def cmd_eval(args) -> int:
         X, y = load_csv(
             args.input, has_header=args.has_header, label_col=label_col
         )
+    # Both loaders return integer ids >= 0; each of 0..K-1 must occur.
+    evalkit._class_counts(y, 1)
     fracs = (args.embed_frac, args.train_frac, args.test_frac)
     if sum(fracs) > 1.0 + 1e-9:
         raise ValueError("split fractions must sum to at most 1")
@@ -214,6 +221,7 @@ def cmd_eval(args) -> int:
     embed_idx, train_idx, test_idx = evalkit.stratified_split(
         y, sizes, seed=args.seed
     )
+    evalkit._check_folds(y[train_idx], args.cv_folds)
     horn = HornParams(seed=args.seed)
     sparca_model = fit(
         X[embed_idx],
@@ -245,16 +253,16 @@ def cmd_eval(args) -> int:
         for name, extent, best_lambda, accuracy in rows:
             fh.write(f"{name},{extent},{best_lambda!r},{accuracy!r}\n")
 
-    sigmas = _float_list(args.sigmas)
     table = evalkit.noise_robustness(
         [sparca_model, pca_model],
         classifiers,
         X[test_idx],
         y[test_idx],
-        sigmas,
+        args.sigmas,
         seed=args.seed,
     )
-    write_csv(np.column_stack([sigmas, table]), f"{args.out_prefix}_noise.csv",
+    write_csv(np.column_stack([args.sigmas, table]),
+              f"{args.out_prefix}_noise.csv",
               header=["sigma", "sparca_accuracy", "pca_accuracy"])
     print(
         f"wrote {args.out_prefix}_accuracy.csv and {args.out_prefix}_noise.csv"
@@ -342,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster count (default: automatic selection)")
     p.add_argument("--variance", type=float, default=0.95)
     p.add_argument("--cv-folds", type=int, default=5)
-    p.add_argument("--sigmas", default="0,0.25,0.5,1,2,4",
+    p.add_argument("--sigmas", type=_noise_levels,
+                   default="0,0.25,0.5,1,2,4",
                    help="noise levels in standardized units")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the emitted CSV artifacts")

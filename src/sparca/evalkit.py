@@ -1,10 +1,15 @@
 """Evaluation harness: synthetic data, sparse logistic regression, noise
 robustness sweeps, and runtime profiling.
 
-The classifier is a one-vs-rest logistic regression with an L1 penalty. With
-the weights split into non-negative positive and negative parts the penalty
-becomes linear, and one call to scipy's bound-constrained L-BFGS-B solves all
-classes, stopping once the KKT residual is at most ``KKT_TOL``.
+The classifier is a one-vs-rest logistic regression with an L1 penalty. At
+or above ``lam_max``, the largest weight gradient of the null model (zero
+weights, logit class frequencies as intercepts), that model is the exact
+optimum and is returned in closed form. Below it, with the weights split into
+non-negative positive and negative parts the penalty becomes linear, and one
+call to scipy's bound-constrained L-BFGS-B solves all classes from the null
+model or a warm start, stopping once the KKT residual is at most
+``KKT_TOL``. Each of its evaluations computes the loss and the residual from
+one ``exp(-|Z|)``.
 """
 
 from __future__ import annotations
@@ -124,18 +129,24 @@ def l1_logreg_fit(
     """Fit one-vs-rest logistic regression with an L1 weight penalty.
 
     Each class minimizes ``mean logistic loss + lam * ||w||_1`` (intercept
-    unpenalized). Split as ``W = W+ - W-`` with ``W+, W- >= 0``, the penalty
-    is linear, and one L-BFGS-B call (Byrd, Lu, Nocedal & Zhu 1995) solves
-    all classes, which share no variable. It stops once its projected
-    gradient is at most ``KKT_TOL``, which is then the largest KKT violation
-    unless a weight part lies strictly inside (0, KKT_TOL). ``max_iter`` caps
-    its iterations; reaching it returns the current iterate. ``init``
-    warm-starts the weights. ``y`` must hold class ids 0..K-1, K >= 2, each
-    at least once. An abnormal line-search exit raises ``RuntimeError``.
-    ``scipy.optimize``, ``scipy.special`` and scipy's BLAS are imported
-    here, not at module level: loading them adds about 14 MB of resident
-    memory to every process that imports sparca, and about 0.2 s to the
-    start of every ``sparca`` command.
+    unpenalized). The null model, zero weights with each class's logit
+    frequency as intercept, is optimal exactly when ``lam`` is at least
+    ``lam_max``, the largest entry of its weight gradient's magnitude, and is
+    then returned without running the solver (the screening rule of
+    Friedman, Hastie & Tibshirani 2010). Below ``lam_max``, split as
+    ``W = W+ - W-`` with ``W+, W- >= 0``, the penalty is linear, and one
+    L-BFGS-B call (Byrd, Lu, Nocedal & Zhu 1995) solves all classes, which
+    share no variable. It starts from the null model, or from ``init`` if
+    given, and stops once its projected gradient is at most ``KKT_TOL``,
+    which is then the largest KKT violation unless a weight part lies
+    strictly inside (0, KKT_TOL). ``max_iter`` caps its iterations; reaching
+    it returns the current iterate. ``init`` must hold finite weights of
+    shape (K, p) and K intercepts. ``y`` must hold class ids 0..K-1, K >= 2,
+    each at least once. An abnormal line-search exit raises
+    ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are imported here,
+    not at module level: loading them adds about 14 MB of resident memory
+    to every process that imports sparca, and about 0.2 s to the start of
+    every ``sparca`` command.
     """
     X = validate_matrix(X)
     y = _check_labels(y, "y")
@@ -144,35 +155,47 @@ def l1_logreg_fit(
         raise ValueError("label count does not match sample count")
     if not (is_number(lam) and 0.0 <= lam < np.inf):
         raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
-    n_classes = _class_counts(y, 1).size
-
-    Y = np.zeros((n, n_classes), order="F")
-    Y[np.arange(n), y] = 1.0
-    size = p * n_classes
-    start = np.zeros(2 * size + n_classes)  # [W+ (p*K), W- (p*K), b (K)]
-    if init is not None and init.weights.shape == (n_classes, p):
-        W = init.weights.T.ravel()
-        start[:size], start[size:-n_classes] = W.clip(0), (-W).clip(0)
-        start[-n_classes:] = init.intercepts
-
-    def unsplit(v):
-        return (v[:size] - v[size:-n_classes]).reshape(p, n_classes)
+    counts = _class_counts(y, 1)
+    n_classes = counts.size
+    if init is not None:
+        _check_init(init, n_classes, p)
 
     from scipy.linalg.blas import dgemm
-    from scipy.optimize import Bounds, minimize
-    from scipy.special import expit
 
     # The products go through scipy's BLAS, which L-BFGS-B also calls:
     # numpy's matmul uses a second OpenBLAS whose thread pool would contend
     # with scipy's. Fortran-ordered operands pass to dgemm without a copy;
     # XT is a view when X is C-ordered.
     XT = np.asfortranarray(X.T)
+    Y = np.zeros((n, n_classes), order="F")
+    Y[np.arange(n), y] = 1.0
+    freq = counts / n
+    null_intercepts = np.log(freq) - np.log1p(-freq)
+    if lam >= np.abs(dgemm(1.0 / n, XT, freq - Y)).max():
+        return L1LogRegModel(
+            weights=np.zeros((n_classes, p)),
+            intercepts=null_intercepts,
+            lam=float(lam),
+        )
+
+    size = p * n_classes
+    start = np.zeros(2 * size + n_classes)  # [W+ (p*K), W- (p*K), b (K)]
+    if init is None:
+        start[-n_classes:] = null_intercepts
+    else:
+        W = np.asarray(init.weights).T.ravel()
+        start[:size], start[size:-n_classes] = W.clip(0), (-W).clip(0)
+        start[-n_classes:] = init.intercepts
+
+    def unsplit(v):
+        return (v[:size] - v[size:-n_classes]).reshape(p, n_classes)
+
+    from scipy.optimize import Bounds, minimize
 
     def objective(v):
         Z = dgemm(1.0, XT, unsplit(v), trans_a=True) + v[-n_classes:]
-        R = expit(Z) - Y
+        loss, R = _logistic_loss(Z, Y)
         G = dgemm(1.0 / n, XT, R)
-        loss = (np.logaddexp(0.0, Z) - Y * Z).sum() / n
         grad = np.concatenate(
             [(G + lam).ravel(), (lam - G).ravel(), R.mean(axis=0)]
         )
@@ -193,12 +216,53 @@ def l1_logreg_fit(
     )
 
 
+def _logistic_loss(Z, Y):
+    """The logistic loss of scores ``Z`` against 0/1 targets ``Y``, summed
+    over classes and averaged over rows, and the residual ``sigmoid(Z) - Y``.
+
+    Both come from one ``E = exp(-|Z|)``, which cannot overflow:
+    ``log(1 + e^Z) = log1p(E) + max(Z, 0)`` and ``sigmoid(Z)`` is ``1 / (1 +
+    E)`` where ``Z >= 0`` and ``E / (1 + E)`` elsewhere.
+    """
+    E = np.exp(-np.abs(Z))
+    R = np.where(Z >= 0.0, 1.0, E) / (1.0 + E)
+    R -= Y
+    loss = (np.log1p(E) + np.maximum(Z, 0.0) - Y * Z).sum() / Z.shape[0]
+    return loss, R
+
+
+def _check_init(init, n_classes, p):
+    # The start vector is laid out for exactly these shapes, and a NaN in
+    # it ends the line search abnormally.
+    W = np.asarray(init.weights)
+    b = np.asarray(init.intercepts)
+    if not (
+        W.shape == (n_classes, p)
+        and b.shape == (n_classes,)
+        and W.dtype.kind in "iuf"
+        and b.dtype.kind in "iuf"
+        and np.isfinite(W).all()
+        and np.isfinite(b).all()
+    ):
+        raise ValueError(
+            f"init must hold finite weights of shape ({n_classes}, {p}) and "
+            f"{n_classes} finite intercepts, got shapes {W.shape} and "
+            f"{b.shape}"
+        )
+
+
 def l1_logreg_predict(model: L1LogRegModel, X):
     """Predicted labels and per-class linear scores.
 
-    Ties resolve to the smallest class id.
+    Ties resolve to the smallest class id. ``X`` must have the model's
+    feature count.
     """
     X = validate_matrix(X)
+    width = model.weights.shape[1]
+    if X.shape[1] != width:
+        raise ValueError(
+            f"X has {X.shape[1]} features, but the model was fit on {width}"
+        )
     scores = X @ model.weights.T + model.intercepts
     return np.argmax(scores, axis=1).astype(np.int64), scores
 
@@ -246,6 +310,22 @@ def _class_counts(y, min_count):
         if short.size:
             message += f"; class {short[0]} has {counts[short[0]]}"
         raise ValueError(message)
+    return counts
+
+
+def _check_folds(y, n_folds):
+    """Class counts of checked labels ``y``, if ``select_lambda`` can split
+    them into ``n_folds`` folds: each class needs a sample in every training
+    fold, and a fold count above the largest class size leaves a fold
+    empty."""
+    if not is_integer(n_folds):
+        raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
+    counts = _class_counts(y, 2)
+    if not 2 <= n_folds <= counts.max():
+        raise ValueError(
+            f"n_folds must be between 2 and the largest class size "
+            f"{counts.max()}, got {n_folds}"
+        )
     return counts
 
 
@@ -324,15 +404,7 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
         raise ValueError(
             f"lambdas must be a 1-D grid of finite numbers >= 0, got {lambdas}"
         )
-    if not is_integer(n_folds):
-        raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
-    # Each class needs a sample in every training fold.
-    counts = _class_counts(y, 2)
-    if not 2 <= n_folds <= counts.max():
-        raise ValueError(
-            f"n_folds must be between 2 and the largest class size "
-            f"{counts.max()}, got {n_folds}"
-        )
+    counts = _check_folds(y, n_folds)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
     for cls in range(counts.size):
@@ -436,9 +508,14 @@ def noise_robustness(
     with standard deviation ``sigma`` in standardized units, scaled by the
     first reducer's ``scaler.stds``; the same realization is shared by every
     model at a given sigma so comparisons are paired. Returns an array of
-    shape (len(sigmas), len(dr_models)).
+    shape (len(sigmas), len(dr_models)). ``sigmas`` must be finite numbers
+    >= 0.
     """
     _check_seed(seed)
+    if np.ndim(sigmas) != 1 or not all(
+        is_number(s) and 0.0 <= s < np.inf for s in sigmas
+    ):
+        raise ValueError(f"sigmas must be finite numbers >= 0, got {sigmas}")
     if len(dr_models) != len(clf_models):
         raise ValueError("model lists must be aligned")
     if not dr_models:

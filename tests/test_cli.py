@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -374,6 +375,70 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "error: line search" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        monkeypatch.setattr(sparca.cli, "fit", refuse)
+        monkeypatch.setattr(sparca.evalkit.PcaBaseline, "fit", refuse)
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [
+            (lambda y: np.where(np.arange(y.size) < 11, 1e11, y),
+             "y holds class id 100000000000, but 360"),
+            (lambda y: np.where(np.arange(y.size) == 5, 1e11, y),
+             "y holds class id 100000000000, but 360"),
+            (lambda y: 2 * y, "class 1 has 0$"),
+            (lambda y: 0 * y, "need >= 2 classes"),
+        ],
+        ids=["huge-ids", "one-huge-id", "missing-class", "one-class"],
+    )
+    def test_bad_labels_rejected_before_any_fit(
+        self, labeled_csv, tmp_path, capsys, no_fit, relabel, message
+    ):
+        # A bad label used to fail only after both fits, or never, when no
+        # split drew it.
+        data = load_csv(labeled_csv)
+        data[:, -1] = relabel(data[:, -1])
+        path = tmp_path / "labels.csv"
+        write_csv(data, path)
+        code = main([
+            "eval", "--input", str(path), "--clusters", "4",
+            "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ")
+        assert re.search(message, err)
+        assert not list(tmp_path.glob("eval_*"))
+
+    @pytest.mark.parametrize("value", ["0,abc", "0,nan", "-1", "0,inf"])
+    def test_bad_sigmas_are_a_usage_error(
+        self, labeled_csv, tmp_path, capsys, no_fit, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "eval", "--input", str(labeled_csv), "--sigmas", value,
+                "--out-prefix", str(tmp_path / "eval"),
+            ])
+        assert excinfo.value.code == 2
+        assert "argument --sigmas: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("eval_*"))
+
+    @pytest.mark.parametrize("folds", ["1", "-3", "1000"])
+    def test_bad_cv_folds_rejected_before_any_fit(
+        self, labeled_csv, tmp_path, capsys, no_fit, folds
+    ):
+        code = main([
+            "eval", "--input", str(labeled_csv), "--clusters", "4",
+            "--cv-folds", folds, "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: n_folds must be between 2 and the largest class" in err
 
     def test_zero_cv_folds_is_reported(self, labeled_csv, tmp_path, capsys):
         code = main([

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import expit
 
 import sparca
 from sparca.evalkit import (
@@ -22,6 +24,7 @@ from sparca.evalkit import (
     profile_runtime,
     select_lambda,
     stratified_split,
+    _logistic_loss,
 )
 from sparca.data import standardize_apply
 from sparca.horn import HornParams
@@ -95,7 +98,98 @@ def _objective(model, X, y):
     return loss + model.lam * np.abs(model.weights).sum()
 
 
+def _lam_max(X, y):
+    """The smallest penalty at which the null model (zero weights, logit
+    class frequencies as intercepts) is optimal: its largest weight
+    gradient magnitude."""
+    Y = np.eye(y.max() + 1)[y]
+    return np.abs(X.T @ (Y.mean(axis=0) - Y)).max() / X.shape[0]
+
+
+def _count_solver_calls(monkeypatch):
+    """Make every L-BFGS-B call of l1_logreg_fit count itself."""
+    calls = []
+    real = scipy.optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    return calls
+
+
+def _unbalanced_problem():
+    """120 samples of 3 classes of sizes 70, 35 and 15 in 5 features."""
+    rng = np.random.default_rng(9)
+    y = np.repeat([0, 1, 2], [70, 35, 15])
+    X = rng.standard_normal((120, 5))
+    X[:, 0] += 0.8 * y
+    return X, y
+
+
 class TestL1LogReg:
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.5, 1e6])
+    @pytest.mark.parametrize(
+        "problem", [_ten_class_problem, _unbalanced_problem],
+        ids=["ten-class", "unbalanced"],
+    )
+    def test_null_model_in_closed_form_at_lam_max(
+        self, monkeypatch, problem, scale
+    ):
+        X, y = problem()
+        calls = _count_solver_calls(monkeypatch)
+        model = l1_logreg_fit(X, y, scale * _lam_max(X, y))
+        assert not calls
+        assert model.weights.shape == (y.max() + 1, X.shape[1])
+        assert not model.weights.any()
+        freq = np.bincount(y) / y.size
+        assert np.allclose(
+            model.intercepts, np.log(freq / (1 - freq)), rtol=0, atol=1e-15
+        )
+        assert _kkt_residuals(model, X, y).max() <= KKT_TOL
+
+    @pytest.mark.parametrize(
+        "problem", [_ten_class_problem, _unbalanced_problem],
+        ids=["ten-class", "unbalanced"],
+    )
+    def test_solver_runs_just_below_lam_max(self, monkeypatch, problem):
+        X, y = problem()
+        calls = _count_solver_calls(monkeypatch)
+        model = l1_logreg_fit(X, y, 0.99 * _lam_max(X, y))
+        assert len(calls) == 1
+        assert model.weights.any()
+        assert _kkt_residuals(model, X, y).max() <= KKT_TOL
+
+    def test_select_lambda_solves_only_below_each_folds_lam_max(
+        self, monkeypatch
+    ):
+        fits = []
+        real = sparca.evalkit.l1_logreg_fit
+
+        def recorded(X, y, lam, **kwargs):
+            fits.append(lam < _lam_max(X, y))
+            return real(X, y, lam, **kwargs)
+
+        monkeypatch.setattr(sparca.evalkit, "l1_logreg_fit", recorded)
+        calls = _count_solver_calls(monkeypatch)
+        X, y = _ten_class_problem()
+        select_lambda(X, y, np.logspace(-2, 1, 7), n_folds=3, seed=0)
+        assert len(fits) == 3 * 7
+        assert 0 < len(calls) == sum(fits) < len(fits)
+
+    def test_loss_and_residual_match_reference_formulas(self):
+        z = np.array([-800.0, -40.0, -1e-12, 0.0, 1e-12, 40.0, 800.0])
+        Z = np.column_stack([z, z[::-1]])
+        Y = np.zeros_like(Z)
+        Y[::2, 0] = Y[1::2, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, R = _logistic_loss(Z, Y)
+        reference = (np.logaddexp(0.0, Z) - Y * Z).sum() / Z.shape[0]
+        assert loss == pytest.approx(reference, rel=1e-15, abs=0.0)
+        assert np.allclose(R, expit(Z) - Y, rtol=1e-15, atol=0.0)
+
     def test_separable_1d(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
@@ -196,6 +290,35 @@ class TestL1LogReg:
         X, y = _ten_class_problem()
         with pytest.raises(RuntimeError, match="ABNORMAL"):
             l1_logreg_fit(X, y, 0.1)
+
+    @pytest.mark.parametrize(
+        "weights, intercepts",
+        [
+            (np.zeros((10, 29)), np.zeros(10)),
+            (np.zeros((30, 10)), np.zeros(10)),
+            (np.zeros((10, 30)), np.zeros(9)),
+            (np.full((10, 30), np.nan), np.zeros(10)),
+            (np.zeros((10, 30)), np.full(10, np.inf)),
+        ],
+        ids=["narrow", "transposed", "short-intercepts", "nan-weights",
+             "inf-intercepts"],
+    )
+    def test_bad_init_rejected(self, weights, intercepts):
+        # A wrongly shaped init used to be ignored or fail inside numpy, and
+        # NaN weights made the line search fail.
+        X, y = _ten_class_problem()
+        init = L1LogRegModel(weights=weights, intercepts=intercepts, lam=0.1)
+        with pytest.raises(ValueError, match=r"^init must hold finite"):
+            l1_logreg_fit(X, y, 0.01, init=init)
+
+    def test_predict_checks_width(self):
+        model = L1LogRegModel(
+            weights=np.zeros((3, 2)), intercepts=np.zeros(3), lam=0.0
+        )
+        with pytest.raises(
+            ValueError, match="X has 3 features, but the model was fit on 2"
+        ):
+            l1_logreg_predict(model, np.ones((4, 3)))
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         code = (
@@ -505,6 +628,18 @@ class TestNoiseRobustness:
         X_test, y_test, drs, clfs = setup
         with pytest.raises(ValueError, match="aligned"):
             noise_robustness(drs, clfs[:1], X_test, y_test, [0.0])
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [[True], [0.0, "0.5"], "0.5", [np.nan], [0.0, np.inf], [-1.0], 0.5],
+        ids=["bool", "string", "text", "nan", "inf", "negative", "scalar"],
+    )
+    def test_bad_sigmas_rejected_before_any_transform(self, sigmas):
+        with pytest.raises(ValueError, match="^sigmas must be finite"):
+            noise_robustness(
+                [_NoTransform()], [None], np.ones((4, 2)), [0, 1, 0, 1],
+                sigmas,
+            )
 
     def test_empty_model_lists_rejected(self, setup):
         X_test, y_test, _, _ = setup
