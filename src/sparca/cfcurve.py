@@ -19,8 +19,8 @@ import numpy as np
 
 from .cluster import Linkage, _cut_groups, feature_distances, ward_linkage
 from .data import (
-    is_integer,
-    is_number,
+    check_integer,
+    check_numbers,
     standardize_apply,
     standardize_fit,
     thread_map,
@@ -124,11 +124,7 @@ class FeatureTree:
     """
 
     def __init__(self, X, horn_params=None, n_threads=None):
-        if not (n_threads is None or is_integer(n_threads)):
-            raise ValueError(
-                f"n_threads must be an integer, got {n_threads!r}"
-            )
-        if n_threads is not None and n_threads < 1:
+        if n_threads is not None and check_integer(n_threads, "n_threads") < 1:
             raise ValueError(f"n_threads must be at least 1, got {n_threads}")
         self.horn_params = horn_params or HornParams()
         self.n_threads = n_threads
@@ -186,16 +182,9 @@ class FeatureTree:
     def curve(self, grid=None) -> CfCurve:
         """The cf-curve over ``grid`` (default: ``default_grid``)."""
         m = self.scaler.n_kept
-        if grid is None:
-            grid = default_grid(m)
-        else:
-            # np.asarray would read a bool among integers as 0 or 1.
-            if not all(map(is_number, np.asarray(grid, dtype=object).flat)):
-                raise ValueError(f"grid values must be integers, got {grid!r}")
-            values = np.asarray(grid)
-            grid = values.astype(np.int64)
-            if (grid != values).any():
-                raise ValueError(f"grid values must be integers, got {values}")
+        grid = default_grid(m) if grid is None else check_numbers(
+            grid, "grid values", integer=True
+        )
         if grid.size < 1:
             raise ValueError("grid is empty")
         if (np.diff(grid) <= 0).any():

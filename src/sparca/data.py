@@ -1,4 +1,12 @@
-"""Tabular data handling: validation, standardization, CSV and IDX ingestion."""
+"""Tabular data handling: validation, standardization, CSV and IDX ingestion.
+
+``check_integer``, ``check_number`` and ``check_numbers`` are the one place
+where the library checks a numeric parameter. Each returns the value or
+raises one ``ValueError`` that names the parameter. A bool is no number to
+them, though Python counts ``True`` as 1, and neither is a string. A numpy
+array's dtype vouches for its items; the items of any other grid are checked
+one by one.
+"""
 
 from __future__ import annotations
 
@@ -73,14 +81,55 @@ def validate_matrix(X, name="X"):
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` is an integer and not a bool, which Python counts
-    as one: ``True`` is no count, seed or size."""
+    """Whether ``value`` is an integer and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:
     """Whether ``value`` is a real number and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(value, name, low=None):
+    """``value`` if it is an integer, at least ``low`` if that is set."""
+    if is_integer(value) and (low is None or value >= low):
+        return value
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_number(value, name, low=None, high=None, open_low=False):
+    """``value`` if it is a finite number above ``low``, or at it unless
+    ``open_low``, and at most ``high``; ``high`` needs ``low``."""
+    ok = is_number(value) and abs(value) < math.inf
+    if ok and (low is None or value > low or value == low and not open_low):
+        if high is None or value <= high:
+            return value
+    what = "a finite number"
+    if low is not None:
+        what += f" {'>' if open_low else '>='} {low}"
+    if high is not None:
+        what = f"a number in {'(' if open_low else '['}{low}, {high}]"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_numbers(values, name, low=None, integer=False, what=None):
+    """``values`` as a float64 array, int64 if ``integer``, if it is a 1-D
+    grid of finite numbers (integers), at least ``low`` if that is set.
+    ``what`` replaces "finite numbers" or "integers" in the error."""
+    kinds, dtype = ("iu", np.int64) if integer else ("iuf", np.float64)
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        typed = values.dtype.kind in kinds
+    else:
+        items = np.asarray(values, dtype=object).flat
+        typed = all(map(is_integer if integer else is_number, items))
+    x = np.asarray(values, dtype) if typed else None
+    if typed and x.ndim == 1 and (integer or np.isfinite(x).all()):
+        if low is None or (x >= low).all():
+            return x
+    bound = "" if low is None else f" >= {low}"
+    what = what or ("integers" if integer else "finite numbers")
+    raise ValueError(f"{name} must be {what}{bound}, got {values!r}")
 
 
 def thread_map(fn, items, n_threads=None):

@@ -23,8 +23,9 @@ from .cfcurve import FeatureTree
 from .compress import pca_fit
 from .data import (
     Scaler,
-    is_integer,
-    is_number,
+    check_integer,
+    check_number,
+    check_numbers,
     standardize_apply,
     standardize_fit,
     validate_matrix,
@@ -88,7 +89,7 @@ def gen_synthetic(n_samples, n_features, effective_rank, seed=0):
     participation ratio matches ``effective_rank`` to well within 5%; a rank
     outside ``[1, min(n_samples, n_features)]`` raises ``ValueError``.
     """
-    _check_seed(seed)
+    check_integer(seed, "seed", 0)
     n, m = n_samples, n_features
     limit = min(n, m)
     if not 1 <= effective_rank <= limit:
@@ -153,8 +154,7 @@ def l1_logreg_fit(
     n, p = X.shape
     if y.size != n:
         raise ValueError("label count does not match sample count")
-    if not (is_number(lam) and 0.0 <= lam < np.inf):
-        raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
+    check_number(lam, "lam", 0)
     counts = _class_counts(y, 1)
     n_classes = counts.size
     if init is not None:
@@ -271,13 +271,6 @@ def l1_logreg_predict(model: L1LogRegModel, X):
 # evaluation protocol helpers
 
 
-def _check_seed(seed):
-    # default_rng would take True as 1 and fail on 1.5 or -1 with its own
-    # TypeError or a message that does not name the parameter.
-    if not (is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def _check_labels(y, name):
     """``y`` as a 1-D int64 array; raises ``ValueError`` naming ``name``
     unless it holds integer class ids >= 0 (a cast would truncate 1.7 to 1
@@ -318,8 +311,7 @@ def _check_folds(y, n_folds):
     them into ``n_folds`` folds: each class needs a sample in every training
     fold, and a fold count above the largest class size leaves a fold
     empty."""
-    if not is_integer(n_folds):
-        raise ValueError(f"n_folds must be an integer, got {n_folds!r}")
+    check_integer(n_folds, "n_folds")
     counts = _class_counts(y, 2)
     if not 2 <= n_folds <= counts.max():
         raise ValueError(
@@ -337,11 +329,9 @@ def stratified_split(y, sizes, seed: int = 0):
     Returns one index array per requested size. Sizes must be integers
     >= 0 that sum to at most the sample count.
     """
-    _check_seed(seed)
+    check_integer(seed, "seed", 0)
     y = _check_labels(y, "y")
-    sizes = list(sizes)
-    if not all(map(is_integer, sizes)):
-        raise ValueError(f"split sizes must be integers, got {sizes}")
+    sizes = check_numbers(sizes, "split sizes", integer=True).tolist()
     if min(sizes, default=0) < 0:
         raise ValueError(f"split sizes must be >= 0, got {sizes}")
     if sum(sizes) > y.size:
@@ -390,20 +380,18 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     count that is not an integer from 2 to the size of the largest class (a
     larger count would leave a fold empty).
     """
-    _check_seed(seed)
+    check_integer(seed, "seed", 0)
     X = validate_matrix(X)
     y = _check_labels(y, "y")
     if y.size != X.shape[0]:
         raise ValueError("label count does not match sample count")
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID
-    lambdas = np.asarray(lambdas, dtype=np.float64)
+    lambdas = check_numbers(
+        lambdas, "lambdas", 0, what="a 1-D grid of finite numbers"
+    )
     if lambdas.size == 0:
         raise ValueError("the lambda grid is empty")
-    if lambdas.ndim != 1 or not (np.isfinite(lambdas) & (lambdas >= 0)).all():
-        raise ValueError(
-            f"lambdas must be a 1-D grid of finite numbers >= 0, got {lambdas}"
-        )
     counts = _check_folds(y, n_folds)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
@@ -448,7 +436,7 @@ def downstream_eval(
     as a ``SparcaModel`` or a ``PcaBaseline``; the classifier reads the
     result's ``values``. Returns ``(test_accuracy, classifier, best_lambda)``.
     """
-    _check_seed(seed)
+    check_integer(seed, "seed", 0)
     y_train = _check_labels(y_train, "y_train")
     y_test = _check_labels(y_test, "y_test")
     R_train = dr_model.transform(X_train).values
@@ -511,11 +499,8 @@ def noise_robustness(
     shape (len(sigmas), len(dr_models)). ``sigmas`` must be finite numbers
     >= 0.
     """
-    _check_seed(seed)
-    if np.ndim(sigmas) != 1 or not all(
-        is_number(s) and 0.0 <= s < np.inf for s in sigmas
-    ):
-        raise ValueError(f"sigmas must be finite numbers >= 0, got {sigmas}")
+    check_integer(seed, "seed", 0)
+    check_numbers(sigmas, "sigmas", 0)
     if len(dr_models) != len(clf_models):
         raise ValueError("model lists must be aligned")
     if not dr_models:
@@ -563,9 +548,7 @@ CLUSTER_RANK_FACTOR = 2  # clusters = 2 * effective rank
 
 
 def _validate_grid(grid, name):
-    grid = list(grid)
-    if not all(map(is_integer, grid)):
-        raise ValueError(f"{name} sizes must be integers, got {grid}")
+    grid = check_numbers(grid, f"{name} sizes", 1, integer=True).tolist()
     if len(grid) < 4:
         raise ValueError(f"{name} needs at least 4 sizes")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -606,9 +589,8 @@ def profile_runtime(sample_grid, feature_grid, repeats: int = 3, seed: int = 0):
     2x the rank. Medians over ``repeats`` runs per size; slopes are least
     squares fits on log-log points.
     """
-    _check_seed(seed)
-    if not (is_integer(repeats) and repeats >= 1):
-        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
+    check_integer(seed, "seed", 0)
+    check_integer(repeats, "repeats", 1)
     sample_grid = _validate_grid(sample_grid, "sample_grid")
     feature_grid = _validate_grid(feature_grid, "feature_grid")
     sample_fit, sample_cluster = zip(*(

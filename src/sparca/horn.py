@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_integer, is_number, validate_matrix
+from .data import check_integer, check_number, is_integer, validate_matrix
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,13 @@ class HornParams:
     seed: int = 0
 
     def __post_init__(self):
-        # The seed is hashed as one uint64.
-        seed = self.seed
+        seed = self.seed  # hashed as one uint64
         if not (is_integer(seed) and 0 <= seed < 1 << 64):
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), got {seed!r}"
             )
-        n_repeats = self.n_repeats
-        if not (is_integer(n_repeats) and n_repeats >= 1):
-            raise ValueError(
-                f"n_repeats must be an integer >= 1, got {n_repeats!r}"
-            )
-        p = self.percentile
-        if not (is_number(p) and 0.0 < p <= 100.0):
-            raise ValueError(f"percentile must be in (0, 100], got {p!r}")
+        check_integer(self.n_repeats, "n_repeats", 1)
+        check_number(self.percentile, "percentile", 0, 100, open_low=True)
 
 
 def _mix64(z):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_number, validate_matrix
+from .data import check_number, validate_matrix
 
 # Candidate atoms whose component orthogonal to the current selection falls
 # below this relative norm are collinear with it and permanently rejected.
@@ -89,9 +89,7 @@ def omp_fit(
         raise ValueError("target length does not match dictionary rows")
     if not np.isfinite(t).all():
         raise ValueError("target contains NaN or infinite values")
-    v = variance_threshold
-    if not (is_number(v) and 0.0 < v <= 1.0):
-        raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
+    check_number(variance_threshold, "variance_threshold", 0, 1, open_low=True)
     centered = t - t.mean()
     denom = float(centered @ centered)
     if denom <= 0.0:

@@ -25,8 +25,8 @@ from .data import (
     VARIANCE_EPS,
     Scaler,
     as_matrix,
-    is_integer,
-    is_number,
+    check_integer,
+    check_number,
     standardize_apply,
     standardize_fit,
     thread_map,
@@ -183,11 +183,9 @@ def fit(
     SparcaModel
     """
     X = validate_matrix(X)
-    v = variance_threshold
-    if not (is_number(v) and 0.0 < v <= 1.0):
-        raise ValueError(f"variance_threshold must be in (0, 1], got {v!r}")
-    if not (n_clusters is None or is_integer(n_clusters)):
-        raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
+    check_number(variance_threshold, "variance_threshold", 0, 1, open_low=True)
+    if n_clusters is not None:
+        check_integer(n_clusters, "n_clusters")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit")
     tree = FeatureTree(X, horn_params, n_threads)
