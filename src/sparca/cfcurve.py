@@ -56,8 +56,8 @@ class CfCurve:
 
     @classmethod
     def from_points(cls, n_clusters, n_features):
-        ks = np.asarray(n_clusters, dtype=np.int64)
-        fs = np.asarray(n_features, dtype=np.int64)
+        ks = check_numbers(n_clusters, "n_clusters", integer=True)
+        fs = check_numbers(n_features, "n_features", integer=True)
         if ks.size != fs.size or ks.size < 1:
             raise ValueError("need matching, non-empty grids")
         if (np.diff(ks) <= 0).any():
@@ -98,7 +98,7 @@ def _plateau_start(ks, deriv):
 def default_grid(n_features: int):
     """Geometric grid of ``GRID_POINTS`` points from 2 to ``n_features``
     (deduplicated, endpoint kept)."""
-    if n_features < 2:
+    if check_integer(n_features, "n_features") < 2:
         return np.array([1], dtype=np.int64)
     grid = np.unique(
         np.rint(np.geomspace(2, n_features, GRID_POINTS)).astype(np.int64)

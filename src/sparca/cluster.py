@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import validate_matrix
+from .data import check_integer, validate_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +106,7 @@ def ward_linkage(d, m: int) -> Linkage:
     from scipy.cluster.hierarchy import linkage
 
     d = np.asarray(d, dtype=np.float64).ravel()
-    if m < 2:
-        raise ValueError("need at least 2 features")
+    check_integer(m, "m", 2)
     if d.size != m * (m - 1) // 2:
         raise ValueError(
             f"condensed array has {d.size} entries, expected {m * (m - 1) // 2}"
@@ -160,4 +159,5 @@ def cut_to_k(linkage: Linkage, k: int) -> ClusterAssignment:
     Cluster ids are assigned by the smallest feature index each cluster
     contains, so labels are stable and interpretable.
     """
+    check_integer(k, "k")
     return ClusterAssignment.from_groups(_cut_groups(linkage, k)[1])

@@ -34,11 +34,10 @@ def pca_fit(x, n_components: int) -> ClusterPca:
     wide blocks. Each loading vector is flipped so its largest-magnitude
     entry is positive, making the output deterministic.
     """
-    check_integer(n_components, "n_components")
     x = validate_matrix(x, name="x")
     n, m = x.shape
     cap = min(n - 1, m)
-    if not 1 <= n_components <= cap:
+    if not 1 <= check_integer(n_components, "n_components") <= cap:
         raise ValueError(
             f"n_components {n_components} out of range [1, {cap}] "
             f"for a {n}x{m} block"

@@ -123,8 +123,11 @@ def check_numbers(values, name, low=None, integer=False, what=None):
     else:
         items = np.asarray(values, dtype=object).flat
         typed = all(map(is_integer if integer else is_number, items))
-    x = np.asarray(values, dtype) if typed else None
-    if typed and x.ndim == 1 and (integer or np.isfinite(x).all()):
+    try:
+        x = np.asarray(values, dtype) if typed else None
+    except OverflowError:  # an item past int64 (float64)
+        x = None
+    if x is not None and x.ndim == 1 and (integer or np.isfinite(x).all()):
         if low is None or (x >= low).all():
             return x
     bound = "" if low is None else f" >= {low}"
@@ -190,10 +193,12 @@ def load_csv(path, has_header=False, label_col=None):
     header. Each other line is a row of comma-separated numbers in numpy's
     syntax, blank-padded or double-quoted at will. Unlike ``float()``, that
     syntax rejects ``1_000`` and non-ASCII digits and takes ``\\x1c`` to
-    ``\\x1f`` for blanks; a line of blanks is an error. With ``label_col``
-    the given column is split off, rounded to integer class ids, and
+    ``\\x1f`` for blanks; a line of blanks is an error. With ``label_col``,
+    an integer, that column is split off, rounded to integer class ids, and
     returned alongside the matrix.
     """
+    if label_col is not None:
+        check_integer(label_col, "label_col")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.readlines()

@@ -90,9 +90,10 @@ def gen_synthetic(n_samples, n_features, effective_rank, seed=0):
     outside ``[1, min(n_samples, n_features)]`` raises ``ValueError``.
     """
     check_integer(seed, "seed", 0)
-    n, m = n_samples, n_features
+    n = check_integer(n_samples, "n_samples", 1)
+    m = check_integer(n_features, "n_features", 1)
     limit = min(n, m)
-    if not 1 <= effective_rank <= limit:
+    if not 1 <= check_number(effective_rank, "effective_rank") <= limit:
         raise ValueError(
             f"effective_rank {effective_rank} infeasible for {n}x{m}"
         )
@@ -140,14 +141,14 @@ def l1_logreg_fit(
     share no variable. It starts from the null model, or from ``init`` if
     given, and stops once its projected gradient is at most ``KKT_TOL``,
     which is then the largest KKT violation unless a weight part lies
-    strictly inside (0, KKT_TOL). ``max_iter`` caps its iterations; reaching
-    it returns the current iterate. ``init`` must hold finite weights of
-    shape (K, p) and K intercepts. ``y`` must hold class ids 0..K-1, K >= 2,
-    each at least once. An abnormal line-search exit raises
-    ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are imported here,
-    not at module level: loading them adds about 14 MB of resident memory
-    to every process that imports sparca, and about 0.2 s to the start of
-    every ``sparca`` command.
+    strictly inside (0, KKT_TOL). ``max_iter``, an integer >= 1, caps its
+    iterations; reaching it returns the current iterate. ``init`` must hold
+    finite weights of shape (K, p) and K intercepts. ``y`` must hold class
+    ids 0..K-1, K >= 2, each at least once. An abnormal line-search exit
+    raises ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are
+    imported here, not at module level: loading them adds about 14 MB of
+    resident memory to every process that imports sparca, and about 0.2 s
+    to the start of every ``sparca`` command.
     """
     X = validate_matrix(X)
     y = _check_labels(y, "y")
@@ -155,6 +156,7 @@ def l1_logreg_fit(
     if y.size != n:
         raise ValueError("label count does not match sample count")
     check_number(lam, "lam", 0)
+    check_integer(max_iter, "max_iter", 1)
     counts = _class_counts(y, 1)
     n_classes = counts.size
     if init is not None:
@@ -311,9 +313,8 @@ def _check_folds(y, n_folds):
     them into ``n_folds`` folds: each class needs a sample in every training
     fold, and a fold count above the largest class size leaves a fold
     empty."""
-    check_integer(n_folds, "n_folds")
     counts = _class_counts(y, 2)
-    if not 2 <= n_folds <= counts.max():
+    if not 2 <= check_integer(n_folds, "n_folds") <= counts.max():
         raise ValueError(
             f"n_folds must be between 2 and the largest class size "
             f"{counts.max()}, got {n_folds}"

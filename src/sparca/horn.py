@@ -44,7 +44,8 @@ class HornParams:
     seed: int = 0
 
     def __post_init__(self):
-        seed = self.seed  # hashed as one uint64
+        # The seed is hashed as one uint64.
+        seed = self.seed
         if not (is_integer(seed) and 0 <= seed < 1 << 64):
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), got {seed!r}"

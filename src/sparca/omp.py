@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_number, validate_matrix
+from .data import check_integer, check_number, check_numbers, validate_matrix
 
 # Candidate atoms whose component orthogonal to the current selection falls
 # below this relative norm are collinear with it and permanently rejected.
@@ -72,9 +72,10 @@ def omp_fit(
         Stop once ``1 - ||residual||^2 / ||target - mean||^2`` reaches this
         value, in (0, 1].
     feature_indices : array, optional
-        Original column index of each atom; defaults to ``0..n_atoms-1``.
+        Original column index (an integer >= 0) of each atom; defaults to
+        ``0..n_atoms-1``.
     cluster, rank : int
-        Provenance recorded on the returned component.
+        Provenance recorded on the returned component, each >= 0.
 
     Returns
     -------
@@ -90,13 +91,17 @@ def omp_fit(
     if not np.isfinite(t).all():
         raise ValueError("target contains NaN or infinite values")
     check_number(variance_threshold, "variance_threshold", 0, 1, open_low=True)
+    check_integer(cluster, "cluster", 0)
+    check_integer(rank, "rank", 0)
     centered = t - t.mean()
     denom = float(centered @ centered)
     if denom <= 0.0:
         raise ValueError("target has no variance (all-zero or constant)")
     if feature_indices is None:
         feature_indices = np.arange(n_atoms)
-    feature_indices = np.asarray(feature_indices, dtype=np.int64)
+    feature_indices = check_numbers(
+        feature_indices, "feature_indices", 0, integer=True
+    )
     if feature_indices.size != n_atoms:
         raise ValueError("feature_indices length does not match dictionary")
 

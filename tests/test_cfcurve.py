@@ -27,6 +27,21 @@ class TestSelectClusters:
         curve = CfCurve.from_points([1, 2, 3, 4, 5], [0, 10, 17, 21, 23])
         assert curve.selected == 4
 
+    @pytest.mark.parametrize(
+        "ks, fs, name",
+        [
+            ([1.5, 2.7, 3.2], [1, 2, 3], "n_clusters"),
+            ([True, 2, 3], [1, 2, 3], "n_clusters"),
+            ([1, 2, 3], [1, 2.5, 3], "n_features"),
+            ([1, 2, 3], ["1", 2, 3], "n_features"),
+        ],
+        ids=["float-counts", "bool-count", "float-features", "text-feature"],
+    )
+    def test_non_integer_points_rejected(self, ks, fs, name):
+        # An int64 cast would truncate 1.5 to 1 and read True as 1.
+        with pytest.raises(ValueError, match=f"^{name} must be integers"):
+            CfCurve.from_points(ks, fs)
+
     def test_derivative_stencil(self):
         curve = CfCurve.from_points([1, 2, 4, 8], [1, 3, 4, 12])
         # one-sided at the ends, central (non-uniform) inside
@@ -121,6 +136,12 @@ class TestCfCurve:
         monkeypatch.setattr(sparca.cfcurve, "ward_linkage", no_ward)
         # np.asarray would read [True, 2, 3] as [1, 2, 3].
         for grid in ([1.5, 2.7, 3.2], [True, 2, 3], [np.True_, 2], [1, "2"]):
+            with pytest.raises(
+                ValueError, match="grid values must be integers"
+            ):
+                cf_curve(block_data, grid=grid)
+        # Floats are no cluster counts, as for fit's n_clusters below.
+        for grid in ([2.0, 8.0], np.array([2.0, 8.0])):
             with pytest.raises(
                 ValueError, match="grid values must be integers"
             ):
@@ -227,6 +248,11 @@ class TestDefaultGrid:
         assert grid[-1] == 80
         assert (np.diff(grid) > 0).all()
         assert grid.size <= 40
+
+    @pytest.mark.parametrize("n_features", [True, 10.5, "10"])
+    def test_non_integer_feature_count_rejected(self, n_features):
+        with pytest.raises(ValueError, match="^n_features must be an integer"):
+            default_grid(n_features)
 
     def test_tiny_feature_counts(self):
         assert default_grid(1).tolist() == [1]

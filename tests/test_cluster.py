@@ -207,6 +207,13 @@ class TestWardLinkage:
         with pytest.raises(ValueError, match="entries"):
             ward_linkage(np.ones(4), 4)
 
+    @pytest.mark.parametrize("m", [1, 2.0, 2.5, True, "3"])
+    def test_bad_feature_count_rejected(self, m):
+        # 2.0 would pass the length check on one distance and build a tree
+        # whose leaf count is a float.
+        with pytest.raises(ValueError, match="^m must be an integer >= 2"):
+            ward_linkage(np.ones(1), m)
+
     @pytest.mark.parametrize(
         "bad, match",
         # scipy's linkage raises the non-finite ValueError itself.
@@ -249,6 +256,9 @@ class TestCutToK:
     def test_out_of_range(self, linkage):
         for k in (0, 9):
             with pytest.raises(ValueError, match="out of range"):
+                cut_to_k(linkage, k)
+        for k in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer"):
                 cut_to_k(linkage, k)
 
     def test_labels_ordered_by_smallest_member(self, linkage):

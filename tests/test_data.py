@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import float_csv
 from sparca.data import (
     Scaler,
+    check_integer,
+    check_number,
+    check_numbers,
     load_csv,
     load_idx,
     standardize_apply,
@@ -154,6 +157,16 @@ class TestCsv:
         X, y = load_csv(path, label_col=-1)
         assert X.shape == (2, 2)
         assert y.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("label_col", [1.5, "-1", True])
+    def test_bad_label_col_rejected_before_reading(self, tmp_path, label_col):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,2\n")
+        with pytest.raises(ValueError, match="^label_col must be an integer"):
+            load_csv(path, label_col=label_col)
+        # A missing file would raise FileNotFoundError once it is opened.
+        with pytest.raises(ValueError, match="^label_col must be an integer"):
+            load_csv(tmp_path / "missing.csv", label_col=label_col)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -446,3 +459,68 @@ def _rewrite_header(path, fmt, *fields):
     struct.pack_into(fmt, data, 0, *fields)
     with opener(path, "wb") as fh:
         fh.write(bytes(data))
+
+
+class TestCheckers:
+    def test_check_integer(self):
+        assert check_integer(3, "k") == 3
+        assert check_integer(np.int64(-2), "k") == -2
+        assert check_integer(0, "k", 0) == 0  # the low end is closed
+        assert check_integer(2**70, "k", 1) == 2**70
+        for value in (True, np.True_, 2.0, 1.5, "3", None, np.float64(2)):
+            with pytest.raises(ValueError, match="^k must be an integer, got"):
+                check_integer(value, "k")
+        with pytest.raises(
+            ValueError, match=r"^k must be an integer >= 1, got -1$"
+        ):
+            check_integer(-1, "k", 1)
+
+    def test_check_number(self):
+        assert check_number(-1.5, "x") == -1.5
+        assert check_number(np.int64(0), "x", 0) == 0  # closed low end
+        assert check_number(1, "x", 0, 1, open_low=True) == 1  # closed high
+        for value in (True, np.nan, np.inf, -np.inf, "0.5", None):
+            with pytest.raises(
+                ValueError, match=r"^x must be a finite number, got"
+            ):
+                check_number(value, "x")
+        with pytest.raises(
+            ValueError, match=r"^x must be a finite number >= 0, got -0.1$"
+        ):
+            check_number(-0.1, "x", 0)
+        with pytest.raises(ValueError, match=r"x must be a finite number > 0,"):
+            check_number(0, "x", 0, open_low=True)
+        for value in (0, 0.0, 1.5, np.nan, True):
+            with pytest.raises(
+                ValueError, match=r"^x must be a number in \(0, 1\], got"
+            ):
+                check_number(value, "x", 0, 1, open_low=True)
+        with pytest.raises(ValueError, match=r"^x must be a number in \[0, 1\]"):
+            check_number(-1e-300, "x", 0, 1)
+
+    def test_check_numbers(self):
+        grid = check_numbers([0, 2.5, np.float32(1)], "g", 0)
+        assert grid.dtype == np.float64 and grid.tolist() == [0, 2.5, 1]
+        ints = check_numbers((3, np.int64(1)), "g", integer=True)
+        assert ints.dtype == np.int64 and ints.tolist() == [3, 1]
+        assert check_numbers(np.array([1, 2], np.int32), "g", 1).size == 2
+        assert check_numbers([], "g", 0).size == 0
+        bad = (
+            [True, 0.1], np.array([True, False]), ["0.1"], [0.1, np.nan],
+            np.array([np.inf]), [[0.1, 1.0]], 0.1, "0.5", [[1], 2], None,
+        )
+        for values in bad:
+            with pytest.raises(
+                ValueError, match="^g must be finite numbers, got"
+            ):
+                check_numbers(values, "g")
+        ints = ([1.0, 2], np.array([1.0, 2.0]), [True, 2], [1, "2"], [2**70])
+        for values in ints:  # the last one does not fit in an int64
+            with pytest.raises(ValueError, match="^g must be integers, got"):
+                check_numbers(values, "g", integer=True)
+        with pytest.raises(
+            ValueError, match=r"^g must be integers >= 1, got \[1, 0\]$"
+        ):
+            check_numbers([1, 0], "g", 1, integer=True)
+        with pytest.raises(ValueError, match="^g must be a grid >= 0, got"):
+            check_numbers([-1.0], "g", 0, what="a grid")

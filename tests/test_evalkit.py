@@ -69,6 +69,22 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             gen_synthetic(10, 5, 2, seed=seed)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, 5, True), "effective_rank must be a finite number"),
+            ((10, 5, "2"), "effective_rank must be a finite number"),
+            ((2.5, 5, 2), "n_samples must be an integer >= 1"),
+            ((True, 5, 1), "n_samples must be an integer >= 1"),
+            ((10, 5.0, 2), "n_features must be an integer >= 1"),
+        ],
+        ids=["bool-rank", "text-rank", "float-rows", "bool-rows",
+             "float-columns"],
+    )
+    def test_bad_sizes_and_rank_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic(*args, seed=0)
+
 
 def _ten_class_problem():
     """400 samples of 10 overlapping Gaussian classes in 30 features."""
@@ -364,6 +380,14 @@ class TestL1LogReg:
             with pytest.raises(ValueError, match="lam must be"):
                 l1_logreg_fit(X, y, lam)
 
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, True, "5"])
+    def test_bad_max_iter_rejected(self, max_iter):
+        # max_iter=0 would return the unconverged starting model.
+        X = np.random.default_rng(5).standard_normal((60, 3))
+        y = np.arange(60) % 3
+        with pytest.raises(ValueError, match="^max_iter must be an integer"):
+            l1_logreg_fit(X, y, 0.001, max_iter=max_iter)
+
     def test_protocol_constant_in_grid(self):
         # the small-sample protocol fixes the penalty at 0.1
         assert np.isclose(DEFAULT_LAMBDA_GRID, 0.1).any()
@@ -569,8 +593,13 @@ class TestLabels:
         assert not calls
 
     @pytest.mark.parametrize(
-        "grid", [[0.1, -1.0], [[0.1, 1.0]], [0.1, np.nan], [np.inf], 0.1],
-        ids=["negative", "2-D", "nan", "inf", "scalar"],
+        "grid",
+        [
+            [0.1, -1.0], [[0.1, 1.0]], [0.1, np.nan], [np.inf], 0.1,
+            [True, 0.1], np.array([True, False]), ["0.1", "1"],
+        ],
+        ids=["negative", "2-D", "nan", "inf", "scalar", "bool",
+             "bool-array", "strings"],
     )
     def test_select_lambda_checks_grid_before_any_fit(self, monkeypatch, grid):
         calls = _count_fits(monkeypatch)
@@ -678,6 +707,9 @@ class TestProfileRuntime:
             profile_runtime([10, 20, 20, 100], [24, 48, 96, 192], repeats=1)
         with pytest.raises(ValueError, match="sizes must be integers"):
             profile_runtime([10, 20.5, 40, 100], [24, 48, 96, 192], repeats=1)
+        # A size of 0 would otherwise fail inside the first fits.
+        with pytest.raises(ValueError, match="sizes must be integers >= 1"):
+            profile_runtime([0, 20, 40, 100], [24, 48, 96, 192], repeats=1)
 
     @pytest.mark.parametrize("repeats", [0, -2, 1.5, 2.0, "3", True])
     def test_repeats_rejected_before_any_fit(self, monkeypatch, repeats):

@@ -136,3 +136,11 @@ class TestOmpFit:
         for threshold in ("0.9", float("nan"), None, True):
             with pytest.raises(ValueError, match="variance_threshold"):
                 omp_fit(D, D[:, 0], threshold)
+        # An int64 cast would truncate [0.5, 1.7, 2.2] to [0, 1, 2].
+        for indices in ([0.5, 1.7, 2.2], [True, False, True], [0, -1, 2]):
+            with pytest.raises(ValueError, match="^feature_indices must be"):
+                omp_fit(D, D[:, 0], 0.9, feature_indices=indices)
+        for name in ("cluster", "rank"):
+            for value in (1.5, True, -1, "1"):
+                with pytest.raises(ValueError, match=f"^{name} must be an"):
+                    omp_fit(D, D[:, 0], 0.9, **{name: value})
