@@ -151,7 +151,8 @@ class FeatureTree:
         share one permutation table, built here before any worker starts
         and dropped on return.
         """
-        cuts = [_cut_groups(self.linkage, int(k)) for k in ks]
+        ks = check_numbers(ks, "ks", 1, integer=True).tolist()
+        cuts = [_cut_groups(self.linkage, k) for k in ks]
         cols_of_new = {}
         for node_ids, groups in cuts:
             for node, cols in zip(node_ids, groups):

@@ -221,7 +221,11 @@ def cmd_eval(args) -> int:
     embed_idx, train_idx, test_idx = evalkit.stratified_split(
         y, sizes, seed=args.seed
     )
-    evalkit._check_folds(y[train_idx], args.cv_folds)
+    evalkit._class_counts(y[train_idx], 2)
+    try:  # past the class check, only the fold count can fail
+        evalkit._check_folds(y[train_idx], args.cv_folds)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--cv-folds)") from None
     horn = HornParams(seed=args.seed)
     sparca_model = fit(
         X[embed_idx],

@@ -7,9 +7,13 @@ weights, logit class frequencies as intercepts), that model is the exact
 optimum and is returned in closed form. Below it, with the weights split into
 non-negative positive and negative parts the penalty becomes linear, and one
 call to scipy's bound-constrained L-BFGS-B solves all classes from the null
-model or a warm start, stopping once the KKT residual is at most
-``KKT_TOL``. Each of its evaluations computes the loss and the residual from
-one ``exp(-|Z|)``.
+model, stopping once the KKT residual is at most ``KKT_TOL``. Each of its
+evaluations computes the loss and the residual from one ``exp(-|Z|)``.
+
+Given a grid of strengths, ``l1_logreg_fit`` fits them as one regularization
+path: the data are checked and prepared once, and the values are solved from
+strongest to weakest, each solve starting from the one before. Cross-validation
+(``select_lambda``) makes one such call per fold.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .data import (
     check_integer,
     check_number,
     check_numbers,
+    is_number,
     standardize_apply,
     standardize_fit,
     validate_matrix,
@@ -121,46 +126,50 @@ class L1LogRegModel:
         return self.weights.shape[0]
 
 
-def l1_logreg_fit(
-    X,
-    y,
-    lam: float,
-    max_iter: int = 5000,
-    init: L1LogRegModel | None = None,
-) -> L1LogRegModel:
-    """Fit one-vs-rest logistic regression with an L1 weight penalty.
+def l1_logreg_fit(X, y, lam, max_iter: int = 5000):
+    """Fit one-vs-rest logistic regression with an L1 weight penalty, at one
+    strength or along a path of them.
 
     Each class minimizes ``mean logistic loss + lam * ||w||_1`` (intercept
-    unpenalized). The null model, zero weights with each class's logit
+    unpenalized). ``lam`` is a number >= 0, which gives one model, or a
+    non-empty 1-D grid of them, which gives a list of one model per value in
+    grid order. The null model, zero weights with each class's logit
     frequency as intercept, is optimal exactly when ``lam`` is at least
     ``lam_max``, the largest entry of its weight gradient's magnitude, and is
     then returned without running the solver (the screening rule of
     Friedman, Hastie & Tibshirani 2010). Below ``lam_max``, split as
     ``W = W+ - W-`` with ``W+, W- >= 0``, the penalty is linear, and one
     L-BFGS-B call (Byrd, Lu, Nocedal & Zhu 1995) solves all classes, which
-    share no variable. It starts from the null model, or from ``init`` if
-    given, and stops once its projected gradient is at most ``KKT_TOL``,
-    which is then the largest KKT violation unless a weight part lies
-    strictly inside (0, KKT_TOL). ``max_iter``, an integer >= 1, caps its
-    iterations; reaching it returns the current iterate. ``init`` must hold
-    finite weights of shape (K, p) and K intercepts. ``y`` must hold class
-    ids 0..K-1, K >= 2, each at least once. An abnormal line-search exit
-    raises ``RuntimeError``. ``scipy.optimize`` and scipy's BLAS are
-    imported here, not at module level: loading them adds about 14 MB of
-    resident memory to every process that imports sparca, and about 0.2 s
-    to the start of every ``sparca`` command.
+    share no variable. A grid is solved from strongest to weakest value, as
+    glmnet solves its path: inputs are checked and ``lam_max`` is computed
+    once, and each solve starts from the solution before it (the first from
+    the null model). A solve stops once its projected gradient is at most
+    ``KKT_TOL``, which is then the largest KKT violation unless a weight
+    part lies strictly inside (0, KKT_TOL). ``max_iter``, an integer >= 1,
+    caps each solve's iterations; reaching it keeps the current iterate.
+    ``y`` must hold class ids 0..K-1, K >= 2, each at least once. An
+    abnormal line-search exit raises ``RuntimeError``. ``scipy.optimize``
+    and scipy's BLAS are imported here, not at module level: loading them
+    adds about 14 MB of resident memory to every process that imports
+    sparca, and about 0.2 s to the start of every ``sparca`` command.
     """
     X = validate_matrix(X)
     y = _check_labels(y, "y")
     n, p = X.shape
     if y.size != n:
         raise ValueError("label count does not match sample count")
-    check_number(lam, "lam", 0)
+    path = not is_number(lam)
+    if path:
+        lams = check_numbers(
+            lam, "lam", 0, what="a number or a 1-D grid of finite numbers"
+        )
+        if lams.size == 0:
+            raise ValueError("the lam grid is empty")
+    else:
+        lams = np.array([check_number(lam, "lam", 0)], dtype=np.float64)
     check_integer(max_iter, "max_iter", 1)
     counts = _class_counts(y, 1)
     n_classes = counts.size
-    if init is not None:
-        _check_init(init, n_classes, p)
 
     from scipy.linalg.blas import dgemm
 
@@ -173,28 +182,18 @@ def l1_logreg_fit(
     Y[np.arange(n), y] = 1.0
     freq = counts / n
     null_intercepts = np.log(freq) - np.log1p(-freq)
-    if lam >= np.abs(dgemm(1.0 / n, XT, freq - Y)).max():
-        return L1LogRegModel(
-            weights=np.zeros((n_classes, p)),
-            intercepts=null_intercepts,
-            lam=float(lam),
-        )
+    lam_max = np.abs(dgemm(1.0 / n, XT, freq - Y)).max()
 
     size = p * n_classes
     start = np.zeros(2 * size + n_classes)  # [W+ (p*K), W- (p*K), b (K)]
-    if init is None:
-        start[-n_classes:] = null_intercepts
-    else:
-        W = np.asarray(init.weights).T.ravel()
-        start[:size], start[size:-n_classes] = W.clip(0), (-W).clip(0)
-        start[-n_classes:] = init.intercepts
+    start[-n_classes:] = null_intercepts
 
     def unsplit(v):
         return (v[:size] - v[size:-n_classes]).reshape(p, n_classes)
 
     from scipy.optimize import Bounds, minimize
 
-    def objective(v):
+    def objective(v, lam):
         Z = dgemm(1.0, XT, unsplit(v), trans_a=True) + v[-n_classes:]
         loss, R = _logistic_loss(Z, Y)
         G = dgemm(1.0 / n, XT, R)
@@ -204,18 +203,28 @@ def l1_logreg_fit(
         return loss + lam * v[:-n_classes].sum(), grad
 
     lower = np.concatenate([np.zeros(2 * size), np.full(n_classes, -np.inf)])
-    result = minimize(
-        objective, start, jac=True, method="L-BFGS-B",
-        bounds=Bounds(lower, np.inf),
-        options={"maxiter": max_iter, "ftol": 0.0, "gtol": KKT_TOL},
-    )
-    if result.status == 2:
-        raise RuntimeError(result.message)
-    return L1LogRegModel(
-        weights=unsplit(result.x).T.copy(),
-        intercepts=result.x[-n_classes:].copy(),
-        lam=float(lam),
-    )
+    bounds = Bounds(lower, np.inf)
+    models = [None] * lams.size
+    for i in np.argsort(-lams):
+        lam = float(lams[i])
+        if lam >= lam_max:
+            models[i] = L1LogRegModel(
+                weights=np.zeros((n_classes, p)),
+                intercepts=null_intercepts.copy(),
+                lam=lam,
+            )
+            continue
+        result = minimize(
+            objective, start, args=(lam,), jac=True, method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": max_iter, "ftol": 0.0, "gtol": KKT_TOL},
+        )
+        if result.status == 2:
+            raise RuntimeError(result.message)
+        W, b = unsplit(result.x), result.x[-n_classes:].copy()
+        models[i] = L1LogRegModel(weights=W.T.copy(), intercepts=b, lam=lam)
+        start = np.concatenate([W.clip(0).ravel(), (-W).clip(0).ravel(), b])
+    return models if path else models[0]
 
 
 def _logistic_loss(Z, Y):
@@ -231,26 +240,6 @@ def _logistic_loss(Z, Y):
     R -= Y
     loss = (np.log1p(E) + np.maximum(Z, 0.0) - Y * Z).sum() / Z.shape[0]
     return loss, R
-
-
-def _check_init(init, n_classes, p):
-    # The start vector is laid out for exactly these shapes, and a NaN in
-    # it ends the line search abnormally.
-    W = np.asarray(init.weights)
-    b = np.asarray(init.intercepts)
-    if not (
-        W.shape == (n_classes, p)
-        and b.shape == (n_classes,)
-        and W.dtype.kind in "iuf"
-        and b.dtype.kind in "iuf"
-        and np.isfinite(W).all()
-        and np.isfinite(b).all()
-    ):
-        raise ValueError(
-            f"init must hold finite weights of shape ({n_classes}, {p}) and "
-            f"{n_classes} finite intercepts, got shapes {W.shape} and "
-            f"{b.shape}"
-        )
 
 
 def l1_logreg_predict(model: L1LogRegModel, X):
@@ -372,14 +361,15 @@ def stratified_split(y, sizes, seed: int = 0):
 def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     """Pick the L1 strength by stratified k-fold cross-validated accuracy.
 
-    The grid is swept from strongest to weakest regularization with warm
-    starts. Ties prefer the stronger penalty. Returns ``(best_lambda,
-    mean_accuracies)`` with accuracies aligned to the given grid. Raises
-    ``ValueError``, before any fit, for a grid that is empty, not 1-D or
-    holds a value that is not a finite number >= 0; for labels that are not
-    class ids 0..K-1 with K >= 2 and at least 2 samples each; and for a fold
-    count that is not an integer from 2 to the size of the largest class (a
-    larger count would leave a fold empty).
+    Each fold's training rows are fit along the whole grid with one
+    ``l1_logreg_fit`` call, which solves it as a warm-started path from
+    strongest to weakest value. Ties prefer the stronger penalty. Returns
+    ``(best_lambda, mean_accuracies)`` with accuracies aligned to the given
+    grid. Raises ``ValueError``, before any fit, for a grid that is empty,
+    not 1-D or holds a value that is not a finite number >= 0; for labels
+    that are not class ids 0..K-1 with K >= 2 and at least 2 samples each;
+    and for a fold count that is not an integer from 2 to the size of the
+    largest class (a larger count would leave a fold empty).
     """
     check_integer(seed, "seed", 0)
     X = validate_matrix(X)
@@ -403,16 +393,11 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
             folds[i % n_folds].append(sample)
     folds = [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
-    order = np.argsort(-lambdas)  # strong-to-weak for warm starting
     accuracy = np.zeros((n_folds, lambdas.size))
     for fi, fold in enumerate(folds):
         mask = np.ones(y.size, dtype=bool)
         mask[fold] = False
-        model = None
-        for li in order:
-            model = l1_logreg_fit(
-                X[mask], y[mask], float(lambdas[li]), init=model
-            )
+        for li, model in enumerate(l1_logreg_fit(X[mask], y[mask], lambdas)):
             pred, _ = l1_logreg_predict(model, X[fold])
             accuracy[fi, li] = float(np.mean(pred == y[fold]))
     means = accuracy.mean(axis=0)

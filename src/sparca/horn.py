@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_integer, check_number, is_integer, validate_matrix
+from .data import check_number, is_integer, validate_matrix
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,13 @@ class HornParams:
             raise ValueError(
                 f"seed must be an integer in [0, 2**64), got {seed!r}"
             )
-        check_integer(self.n_repeats, "n_repeats", 1)
+        # A draw key holds the trial in 20 bits (see _permutations).
+        n_repeats = self.n_repeats
+        if not (is_integer(n_repeats) and 1 <= n_repeats <= 1 << 20):
+            raise ValueError(
+                "n_repeats must be an integer in [1, 2**20], "
+                f"got {n_repeats!r}"
+            )
         check_number(self.percentile, "percentile", 0, 100, open_low=True)
 
 

@@ -162,6 +162,22 @@ class TestCfCurve:
         )
         assert model.n_clusters == 8
 
+    def test_bad_cut_counts_rejected_before_ward(
+        self, block_data, monkeypatch
+    ):
+        # int() used to read [2.5, True] as cuts of 2 and 1 clusters.
+        def no_ward(d, m):
+            raise AssertionError("Ward ran before the counts were checked")
+
+        monkeypatch.setattr(sparca.cfcurve, "ward_linkage", no_ward)
+        tree = sparca.cfcurve.FeatureTree(block_data, n_threads=1)
+        for ks in ([2.5], [True], [0], [2.0]):
+            with pytest.raises(ValueError, match="^ks must be integers >= 1"):
+                tree.cuts(ks)
+        monkeypatch.undo()
+        cuts = tree.cuts(np.array([2, 8], np.int64))
+        assert [len(groups) for groups, _ in cuts] == [2, 8]
+
     def test_threads_do_not_change_result(self, block_data):
         # Every node's count, stacked with others of its width on any
         # thread, is the count it gets alone.

@@ -440,6 +440,16 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "error: n_folds must be between 2 and the largest class" in err
 
+    def test_bad_cv_folds_names_the_flag(self, labeled_csv, tmp_path, capsys):
+        code = main([
+            "eval", "--input", str(labeled_csv), "--clusters", "4",
+            "--cv-folds", "500", "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_folds must be")
+        assert err.rstrip().endswith(", got 500 (--cv-folds)")
+
     def test_zero_cv_folds_is_reported(self, labeled_csv, tmp_path, capsys):
         code = main([
             "eval", "--input", str(labeled_csv), "--clusters", "4",

@@ -180,19 +180,71 @@ class TestL1LogReg:
     def test_select_lambda_solves_only_below_each_folds_lam_max(
         self, monkeypatch
     ):
-        fits = []
+        paths, below = [], []
         real = sparca.evalkit.l1_logreg_fit
 
         def recorded(X, y, lam, **kwargs):
-            fits.append(lam < _lam_max(X, y))
+            paths.append(len(lam))
+            below.append(int((np.asarray(lam) < _lam_max(X, y)).sum()))
             return real(X, y, lam, **kwargs)
 
         monkeypatch.setattr(sparca.evalkit, "l1_logreg_fit", recorded)
         calls = _count_solver_calls(monkeypatch)
         X, y = _ten_class_problem()
         select_lambda(X, y, np.logspace(-2, 1, 7), n_folds=3, seed=0)
-        assert len(fits) == 3 * 7
-        assert 0 < len(calls) == sum(fits) < len(fits)
+        assert paths == [7, 7, 7]
+        assert 0 < len(calls) == sum(below) < 3 * 7
+
+    def test_grid_of_one_matches_scalar_fit(self):
+        X, y = _ten_class_problem()
+        for lam in (0.001, 0.1, 1e6):
+            single = l1_logreg_fit(X, y, lam)
+            [member] = l1_logreg_fit(X, y, np.array([lam]))
+            assert member.lam == single.lam == lam
+            assert member.weights.tobytes() == single.weights.tobytes()
+            assert member.intercepts.tobytes() == single.intercepts.tobytes()
+
+    @pytest.mark.parametrize(
+        "grid", [[0.01, 0.1, 0.001], [0.01, 0.1, 0.01]],
+        ids=["unsorted", "repeated"],
+    )
+    def test_path_comes_back_in_grid_order(self, grid):
+        X, y = _ten_class_problem()
+        models = l1_logreg_fit(X, y, grid)
+        assert [model.lam for model in models] == grid
+        for model in models:
+            assert _kkt_residuals(model, X, y).max() <= KKT_TOL
+
+    def test_path_solves_only_below_lam_max(self, monkeypatch):
+        X, y = _unbalanced_problem()
+        lam_max = _lam_max(X, y)
+        calls = _count_solver_calls(monkeypatch)
+        scales = [2.0, 0.5, 1.0 + 1e-9, 0.1]
+        models = l1_logreg_fit(X, y, [scale * lam_max for scale in scales])
+        assert len(calls) == 2
+        assert [model.weights.any() for model in models] == [
+            False, True, False, True
+        ]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "^the lam grid is empty"),
+            ([[0.01, 0.1]], "^lam must be a number or a 1-D grid"),
+            ([True, False], "^lam must be a number or a 1-D grid"),
+            (np.array([True]), "^lam must be a number or a 1-D grid"),
+            ([0.1, -0.01], "^lam must be a number or a 1-D grid"),
+        ],
+        ids=["empty", "2-D", "bool", "bool-array", "negative"],
+    )
+    def test_bad_grid_rejected_before_any_solve(
+        self, monkeypatch, grid, message
+    ):
+        calls = _count_solver_calls(monkeypatch)
+        X, y = _ten_class_problem()
+        with pytest.raises(ValueError, match=message):
+            l1_logreg_fit(X, y, grid)
+        assert not calls
 
     def test_loss_and_residual_match_reference_formulas(self):
         z = np.array([-800.0, -40.0, -1e-12, 0.0, 1e-12, 40.0, 800.0])
@@ -292,7 +344,7 @@ class TestL1LogReg:
     def test_warm_start_reaches_cold_optimum(self, lam):
         X, y = _ten_class_problem()
         cold = l1_logreg_fit(X, y, lam)
-        warm = l1_logreg_fit(X, y, lam, init=l1_logreg_fit(X, y, 0.1))
+        _, warm = l1_logreg_fit(X, y, [0.1, lam])
         assert abs(_objective(warm, X, y) - _objective(cold, X, y)) <= 1e-8
         assert np.array_equal(warm.weights != 0.0, cold.weights != 0.0)
 
@@ -306,26 +358,6 @@ class TestL1LogReg:
         X, y = _ten_class_problem()
         with pytest.raises(RuntimeError, match="ABNORMAL"):
             l1_logreg_fit(X, y, 0.1)
-
-    @pytest.mark.parametrize(
-        "weights, intercepts",
-        [
-            (np.zeros((10, 29)), np.zeros(10)),
-            (np.zeros((30, 10)), np.zeros(10)),
-            (np.zeros((10, 30)), np.zeros(9)),
-            (np.full((10, 30), np.nan), np.zeros(10)),
-            (np.zeros((10, 30)), np.full(10, np.inf)),
-        ],
-        ids=["narrow", "transposed", "short-intercepts", "nan-weights",
-             "inf-intercepts"],
-    )
-    def test_bad_init_rejected(self, weights, intercepts):
-        # A wrongly shaped init used to be ignored or fail inside numpy, and
-        # NaN weights made the line search fail.
-        X, y = _ten_class_problem()
-        init = L1LogRegModel(weights=weights, intercepts=intercepts, lam=0.1)
-        with pytest.raises(ValueError, match=r"^init must hold finite"):
-            l1_logreg_fit(X, y, 0.01, init=init)
 
     def test_predict_checks_width(self):
         model = L1LogRegModel(

@@ -98,6 +98,14 @@ class TestHornComponents:
         x = rank1_snr_block(200, 5, seed=11)
         assert horn_components(x, HornParams(percentile=50.0, seed=0)) >= 1
 
+    def test_trial_count_capped_at_key_width(self):
+        # A draw key holds the trial in 20 bits; one trial more used to be
+        # accepted here and rejected only when the first null was drawn.
+        assert HornParams(n_repeats=2**20).n_repeats == 2**20
+        for n_repeats in (2**20 + 1, 2**64):
+            with pytest.raises(ValueError, match="^n_repeats must be"):
+                HornParams(n_repeats=n_repeats)
+
     def test_param_validation(self):
         # A float count would fail later, inside the permutation draws.
         for n_repeats in (0, -1, 2.5, 2.0, "3", True):

@@ -505,6 +505,7 @@ class TestSerialization:
             (_repeated_feature, "features are not strictly increasing"),
             (_set_seed(1.9), "malformed .*seed must be an integer"),
             (_set_horn("n_repeats", 20.5), "malformed .*n_repeats must be an"),
+            (_set_horn("n_repeats", 2**20 + 1), "malformed .*n_repeats must"),
             (_drop_horn("n_repeats"), "malformed model file .*'n_repeats'"),
             (_drop_horn("percentile"), "malformed model file .*'percentile'"),
             (_drop_horn("seed"), "malformed model file .*KeyError.'seed'"),
