@@ -12,12 +12,12 @@ changes which stream each column draws: Horn counts are equivariant under
 column permutations only in distribution, not draw for draw.
 
 Since every block of width ``m`` draws streams ``0..m-1``, ``horn_components``
-also takes ``K`` blocks of one width as a ``(K, n, m)`` stack: one centring,
-one observed-spectrum call, one gather per trial for all ``K`` blocks, one
-stacked product and ``eigvalsh`` per chunk, and one percentile.
-Each block still goes through the same operations on the same values as
-alone, so its count does not depend on the stack it is in; a single
-``(n, m)`` block is the stack of one.
+also takes ``K`` blocks of one width as a ``(K, n, m)`` stack: one centred
+transposed ``(K, m, n)`` copy, from which both spectra take ``min(m, n)``
+ranks, one gather per trial for all ``K`` blocks, one stacked product and
+``eigvalsh`` per chunk, and one percentile. Each block still goes through
+the same operations on the same values as alone, so its count does not
+depend on the stack it is in; a single ``(n, m)`` block is the stack of one.
 
 ``_permutations`` says how the streams are hashed and why their packed-key
 sort is exact, ``_PermutationTable`` how the shared table is sized, and
@@ -189,29 +189,24 @@ def _sorted_eigvals(xt):
     """Descending eigenvalues of ``xt @ xt.T / n`` for ``xt`` of shape
     ``(..., c, n)``: the population covariance of ``c`` centred variables.
 
-    Stacked matrices go through one ``eigvalsh`` call. Works through the
-    smaller of the ``c x c`` covariance and the ``n x n`` Gram matrix;
-    trailing ranks beyond the data rank are zero.
+    Returns the ``min(c, n)`` eigenvalues ``n`` samples can have, clipped
+    at 0, from one ``eigvalsh`` call, stacked or not, on the smaller of the
+    ``c x c`` covariance and the ``n x n`` Gram matrix.
     """
     c, n = xt.shape[-2:]
     x = xt.swapaxes(-1, -2)
-    if c <= n:
-        vals = np.linalg.eigvalsh(xt @ x / n)[..., ::-1]
-    else:
-        w = np.linalg.eigvalsh(x @ xt / n)
-        zeros = np.zeros(w.shape[:-1] + (c - n,))
-        vals = np.concatenate([w[..., ::-1], zeros], axis=-1)
-    return np.maximum(vals, 0.0)
+    gram = (xt @ x if c <= n else x @ xt) / n
+    return np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
 
 
-def _null_eigvals(xc, params: HornParams, table=None):
-    """Null spectra, shape ``(K, n_repeats, m)``, of a stack of centred
-    blocks ``xc`` of shape ``(K, n, m)``.
+def _null_eigvals(xt, params: HornParams, table=None):
+    """Null spectra, shape ``(K, n_repeats, min(m, n))``, of a stack of
+    centred blocks given transposed, as ``xt`` of shape ``(K, m, n)``.
 
     Permuting a column keeps its mean, so the permuted copies of a centred
-    block are centred too. Each block is transposed and flattened, so its
-    column ``j`` starts at offset ``j * n``; trial ``t`` of every block of
-    the stack is then one ``np.take`` of the offsets ``j * n + p[t, j]``,
+    block are centred too. Each block of ``xt`` is flattened, so its column
+    ``j`` starts at offset ``j * n``; trial ``t`` of every block of the
+    stack is then one ``np.take`` of the offsets ``j * n + p[t, j]``,
     ``permuted[t, k, j] = x[k][p[t, j], j]``. The copies land in a
     C-contiguous ``(t, K, m, n)`` array whose matrices are the transposed
     copies, one row per variable: each trial's covariance is one product of
@@ -220,9 +215,9 @@ def _null_eigvals(xc, params: HornParams, table=None):
     allows for one block, as without stacking, and blocks as
     ``_STACK_ENTRIES`` allows for those trials.
     """
-    k, n, m = xc.shape
-    xt = np.ascontiguousarray(xc.swapaxes(1, 2)).reshape(k, m * n)
-    null = np.empty((k, params.n_repeats, m))
+    k, m, n = xt.shape
+    flat = xt.reshape(k, m * n)
+    null = np.empty((k, params.n_repeats, min(m, n)))
     trials = min(params.n_repeats, max(1, _CHUNK_ENTRIES // (n * m)))
     blocks = min(k, max(1, _STACK_ENTRIES // (trials * n * m)))
     buffer = np.empty((trials, blocks, m, n))
@@ -243,7 +238,7 @@ def _null_eigvals(xc, params: HornParams, table=None):
                 # The offsets are in range, so "wrap" changes none of them;
                 # unlike the default mode it fills ``out`` in place.
                 np.take(
-                    xt[b0:b1], offsets, axis=1, out=permuted[t], mode="wrap"
+                    flat[b0:b1], offsets, axis=1, out=permuted[t], mode="wrap"
                 )
             null[b0:b1, t0:t1] = _sorted_eigvals(permuted).swapaxes(0, 1)
     return null
@@ -301,9 +296,11 @@ def horn_components(
         # observed eigenvalue can never exceed the null; the floor applies.
         counts = [1] * len(xs)
     else:
-        xc = xs - xs.mean(axis=1, keepdims=True)
-        observed = _sorted_eigvals(xc.swapaxes(1, 2))
-        null = _null_eigvals(xc, params, perms)
+        # Strided mean: numpy sums a contiguous axis pairwise, to other bits.
+        xt = np.empty((len(xs), m, n))
+        np.subtract(xs.swapaxes(1, 2), xs.mean(axis=1)[..., None], out=xt)
+        observed = _sorted_eigvals(xt)
+        null = _null_eigvals(xt, params, perms)
         thresholds = np.percentile(null, params.percentile, axis=1)
         exceeds = observed > thresholds
         # Count the leading run: once a rank fails to beat its null

@@ -8,6 +8,7 @@ requested threshold or the usable dictionary is exhausted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,33 +112,34 @@ def omp_fit(
     rmat = np.zeros((n_atoms, n_atoms))
     qt_target = np.empty(n_atoms)
     selected = []
-    selectable = atom_norms > 0.0
+    rejected = atom_norms == 0.0  # selected, collinear or all-zero atoms
     residual = t.copy()
     evr = 0.0
 
     while evr < variance_threshold:
         corr = np.abs(D.T @ residual)
-        corr[~selectable] = -1.0
-        j = int(np.argmax(corr))
+        corr[rejected] = -1.0
+        j = int(corr.argmax())
         if corr[j] < 0.0:
             break  # every usable atom is selected or collinear
         k = len(selected)
+        Qk = Q[:k]
         q = D[:, j].copy()
         if k:
             # Two rounds of classical Gram-Schmidt keep Q orthonormal.
-            proj = Q[:k] @ q
-            q -= Q[:k].T @ proj
-            proj2 = Q[:k] @ q
-            q -= Q[:k].T @ proj2
+            proj = Qk @ q
+            q -= Qk.T @ proj
+            proj2 = Qk @ q
+            q -= Qk.T @ proj2
             rmat[:k, k] = proj + proj2
-        norm = np.linalg.norm(q)
-        selectable[j] = False
+        norm = math.sqrt(q @ q)
+        rejected[j] = True
         if norm <= COLLINEAR_TOL * atom_norms[j]:
             continue  # collinear with the selection: adds nothing to the span
         rmat[k, k] = norm
-        Q[k] = q / norm
+        np.divide(q, norm, out=Q[k])
         qt_target[k] = float(Q[k] @ residual)
-        residual = residual - qt_target[k] * Q[k]
+        residual -= qt_target[k] * Q[k]
         selected.append(j)
         evr = 1.0 - float(residual @ residual) / denom
     if not selected:

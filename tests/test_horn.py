@@ -28,6 +28,13 @@ def _cov_eigvals(x):
     return _sorted_eigvals((x - x.mean(axis=0)).T)
 
 
+def _centred_t(stack):
+    """The centred, transposed ``(K, m, n)`` copy of a ``(K, n, m)`` stack
+    that ``horn_components`` hands both spectra."""
+    xc = stack - stack.mean(axis=1, keepdims=True)
+    return np.ascontiguousarray(xc.swapaxes(1, 2))
+
+
 def _mc_null_quantiles(x, trials=1000, percentile=95.0, seed=999):
     """Independent Monte-Carlo permutation null (plain numpy Generator)."""
     rng = np.random.default_rng(seed)
@@ -188,9 +195,9 @@ class TestPermutationTable:
         # m = 1, m < n, m > n (Gram path), above the cap, then narrower again
         for m in (1, 6, 11, 14, 3):
             x = _standardize(X[:, :m])
+            xt = _centred_t(x[None])
             assert np.array_equal(
-                _null_eigvals(x[None], params, table),
-                _null_eigvals(x[None], params),
+                _null_eigvals(xt, params, table), _null_eigvals(xt, params)
             )
             assert horn_components(x, params, perms=table) == horn_components(
                 x, params
@@ -244,7 +251,9 @@ class TestNullOracle:
         params = HornParams(seed=3)
         x = _standardize(block_factor_data(n, seed=1)[0][:, :m])
         expected = horn_null_eigvals(x, params.seed, params.n_repeats)
-        self._assert_close(_null_eigvals(x[None], params)[0], expected)
+        self._assert_close(
+            _null_eigvals(_centred_t(x[None]), params)[0], expected, n
+        )
 
     def test_block_wider_than_the_table_matches_oracle(self, monkeypatch):
         # A cap of 12 columns at 8 rows: the 14-column block permutes per
@@ -256,16 +265,24 @@ class TestNullOracle:
         assert table.columns(14) is None
         expected = horn_null_eigvals(x, params.seed, params.n_repeats)
         self._assert_close(
-            _null_eigvals(x[None], params, table)[0], expected
+            _null_eigvals(_centred_t(x[None]), params, table)[0],
+            expected,
+            x.shape[0],
         )
 
     @staticmethod
-    def _assert_close(got, expected):
+    def _assert_close(got, expected, n):
+        """``got`` holds the first ``min(m, n)`` of the oracle's ``m``
+        ranks, and the oracle's other ranks are zero."""
+        ranks = min(expected.shape[-1], n)
+        assert got.shape == expected.shape[:-1] + (ranks,)
         # Ranks beyond the data rank are exact zeros here and rounding
         # noise in the oracle, so they are judged against the top value.
+        atol = 1e-10 * expected.max()
         np.testing.assert_allclose(
-            got, expected, rtol=1e-10, atol=1e-10 * expected.max()
+            got, expected[..., :ranks], rtol=1e-10, atol=atol
         )
+        np.testing.assert_allclose(expected[..., ranks:], 0.0, atol=atol)
 
 
 @pytest.mark.parametrize("n, m", [(40, 6), (6, 40), (7, 7)])
@@ -288,11 +305,13 @@ def _stack(n, m, k, seed):
 
 
 def _oracle_count(x, params):
-    """Horn's count of block ``x`` from the oracle's null spectra."""
+    """Horn's count of block ``x`` from the oracle's full ``m``-rank
+    spectra, observed and null."""
     n, m = x.shape
     null = horn_null_eigvals(x, params.seed, params.n_repeats)
     thresholds = np.percentile(null, params.percentile, axis=0)
-    exceeds = _cov_eigvals(x) > thresholds
+    observed = np.linalg.eigvalsh(np.cov(x, rowvar=False, bias=True))[::-1]
+    exceeds = observed > thresholds
     h = m if exceeds.all() else int(np.argmin(exceeds))
     return max(1, min(h, n - 1, m))
 
@@ -321,11 +340,44 @@ class TestStacks:
             assert counts == [1] * k
             return
         assert counts == [_oracle_count(x, params) for x in stack]
-        xc = stack - stack.mean(axis=1, keepdims=True)
-        null = _null_eigvals(xc, params, table)
+        null = _null_eigvals(_centred_t(stack), params, table)
         for x, got in zip(stack, null):
             expected = horn_null_eigvals(x, params.seed, params.n_repeats)
-            TestNullOracle._assert_close(got, expected)
+            TestNullOracle._assert_close(got, expected, n)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "table"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m", [8, 9, 10, 18])
+    def test_spectra_stop_at_the_data_rank(self, m, k, shared):
+        # Nine rows, and blocks on both sides of m = n: the spectra have
+        # min(m, n) ranks, and the counts still match the oracle's, read
+        # from m ranks. Factor blocks at the 95th percentile count 1 or 2;
+        # noise at the 1st reaches the cap n - 1 for m = 9, 10 and 18,
+        # where every rank up to the data rank n - 1 beats its null.
+        n = 9
+        noise = np.random.default_rng(1).standard_normal((k, n, m))
+        for stack, params in [
+            (_stack(n, m, k, seed=2), HornParams(seed=4)),
+            (noise, HornParams(seed=4, percentile=1.0)),
+        ]:
+            table = _PermutationTable(params, n, m) if shared else None
+            counts = horn_components(stack, params, perms=table)
+            assert counts == [_oracle_count(x, params) for x in stack]
+            if k == 1:
+                single = horn_components(stack[0], params, perms=table)
+                assert single == counts[0]
+            xt = _centred_t(stack)
+            null = _null_eigvals(xt, params, table)
+            assert null.shape == (k, params.n_repeats, min(m, n))
+            # The observed spectrum reads the contiguous transposed copy;
+            # it is that of the strided view of the centred stack, bit for
+            # bit.
+            xc = stack - stack.mean(axis=1, keepdims=True)
+            assert np.array_equal(
+                _sorted_eigvals(xt), _sorted_eigvals(xc.swapaxes(1, 2))
+            )
+        if m > 8:
+            assert counts[0] == n - 1  # the noise stack's, counted last
 
     def test_stack_input_validated(self):
         stack = _stack(30, 4, 2, seed=0)

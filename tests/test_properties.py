@@ -111,3 +111,24 @@ def test_column_shifts_leave_the_horn_count_unchanged(case):
     x, shifts = case
     params = HornParams(seed=2)
     assert horn_components(x + shifts, params) == horn_components(x, params)
+
+
+def test_column_permutations_keep_the_horn_count_distribution():
+    # A column permutation moves columns onto other draw streams, so the
+    # count is equivariant only in distribution. This block (a strong and
+    # a weak factor, three columns each) counts 1 or 2 depending on the
+    # seed. Over 200 seeds its counts and those of a fixed permutation of
+    # its columns must have the same mean, within 4 standard errors of
+    # their paired differences.
+    rng = np.random.default_rng(0)
+    factors = rng.standard_normal((60, 2)) * [1.0, np.sqrt(0.3)]
+    x = np.repeat(factors, 3, axis=1) + rng.standard_normal((60, 6))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    stack = np.stack([x, x[:, np.random.default_rng(1).permutation(6)]])
+    counts = np.array(
+        [horn_components(stack, HornParams(seed=s)) for s in range(200)]
+    )
+    assert np.unique(counts[:, 0]).size >= 2
+    diff = counts[:, 0] - counts[:, 1]
+    assert (diff != 0).any()  # not equivariant draw for draw
+    assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / np.sqrt(diff.size)
