@@ -5,9 +5,11 @@ component counts traces a characteristic curve: rapid growth, a near-flat
 plateau, then a unit-slope tail where every extra cluster contributes exactly
 one feature. The recommended cluster count sits at the minimum of the
 first derivative smoothed over ``SMOOTHING_WINDOW`` grid points, i.e. the
-start of the plateau. ``CfCurve.selected`` is the rule's only entry point:
-``cf_curve``, ``FeatureTree.curve`` and ``fit`` with automatic selection all
-read it.
+start of the plateau. The rule and the derivative's stencil apply at every
+grid size; on fewer than three points the clamped window spans the whole
+grid, so the rule returns its first value. ``CfCurve.selected`` is the
+rule's only entry point: ``cf_curve``, ``FeatureTree.curve`` and ``fit``
+with automatic selection all read it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cluster import Linkage, _cut_groups, feature_distances, ward_linkage
 from .data import (
@@ -25,7 +28,9 @@ from .data import (
     standardize_fit,
     thread_map,
 )
-from .horn import HornParams, _PermutationTable, horn_components
+from .horn import (
+    HornParams, _PermutationTable, check_horn_params, horn_components
+)
 
 # Grid points the derivative is averaged over before its minimum is taken.
 SMOOTHING_WINDOW = 3
@@ -37,10 +42,10 @@ GRID_POINTS = 40
 class CfCurve:
     """Sampled (cluster count, reduced feature count) pairs.
 
-    ``derivative`` holds the finite-difference slope at every grid point
-    (central in the interior, one-sided at the ends); ``selected`` is the
-    recommended cluster count, the first grid value when the grid has fewer
-    than three points.
+    ``derivative`` holds the slope at every grid point between its
+    neighbours, each clamped to the grid, so the ends are one-sided (0 on a
+    one-point grid); ``selected`` is the recommended cluster count, by one
+    rule at every grid size (the first grid value below three points).
     """
 
     n_clusters: np.ndarray
@@ -63,48 +68,40 @@ class CfCurve:
         if (np.diff(ks) <= 0).any():
             raise ValueError("cluster grid must be strictly increasing")
         deriv = _derivative(ks, fs)
-        selected = _plateau_start(ks, deriv) if ks.size >= 3 else int(ks[0])
+        selected = _plateau_start(ks, deriv)
         return cls(
             n_clusters=ks, n_features=fs, derivative=deriv, selected=selected
         )
 
 
 def _derivative(ks, fs):
-    ks = ks.astype(np.float64)
-    fs = fs.astype(np.float64)
     if ks.size == 1:
         return np.zeros(1)
-    deriv = np.empty(ks.size)
-    deriv[0] = (fs[1] - fs[0]) / (ks[1] - ks[0])
-    deriv[-1] = (fs[-1] - fs[-2]) / (ks[-1] - ks[-2])
-    if ks.size > 2:
-        deriv[1:-1] = (fs[2:] - fs[:-2]) / (ks[2:] - ks[:-2])
-    return deriv
+    i = np.arange(ks.size)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, ks.size - 1)
+    ks, fs = ks.astype(np.float64), fs.astype(np.float64)
+    return (fs[hi] - fs[lo]) / (ks[hi] - ks[lo])
 
 
 def _plateau_start(ks, deriv):
     # Moving average of the derivative; near the boundaries the window
     # keeps its full width and is anchored inside the array instead of
     # shrinking. np.argmin breaks ties towards the smallest cluster count.
-    width = min(SMOOTHING_WINDOW, deriv.size)
-    half = SMOOTHING_WINDOW // 2
-    smoothed = np.empty_like(deriv)
-    for i in range(deriv.size):
-        lo = min(max(i - half, 0), deriv.size - width)
-        smoothed[i] = deriv[lo : lo + width].mean()
+    n = deriv.size
+    width = min(SMOOTHING_WINDOW, n)
+    starts = np.clip(np.arange(n) - SMOOTHING_WINDOW // 2, 0, n - width)
+    smoothed = sliding_window_view(deriv, width).mean(axis=1)[starts]
     return int(ks[int(np.argmin(smoothed))])
 
 
 def default_grid(n_features: int):
-    """Geometric grid of ``GRID_POINTS`` points from 2 to ``n_features``
-    (deduplicated, endpoint kept)."""
+    """Geometric grid of ``GRID_POINTS`` points from 2 to ``n_features``,
+    deduplicated; ``np.geomspace`` returns both endpoints exactly."""
     if check_integer(n_features, "n_features") < 2:
         return np.array([1], dtype=np.int64)
-    grid = np.unique(
+    return np.unique(
         np.rint(np.geomspace(2, n_features, GRID_POINTS)).astype(np.int64)
     )
-    grid[-1] = n_features
-    return np.unique(grid)
 
 
 class FeatureTree:
@@ -126,7 +123,7 @@ class FeatureTree:
     def __init__(self, X, horn_params=None, n_threads=None):
         if n_threads is not None and check_integer(n_threads, "n_threads") < 1:
             raise ValueError(f"n_threads must be at least 1, got {n_threads}")
-        self.horn_params = horn_params or HornParams()
+        self.horn_params = check_horn_params(horn_params)
         self.n_threads = n_threads
         self.scaler = standardize_fit(X)
         self.Xs = standardize_apply(self.scaler, X)

@@ -241,9 +241,13 @@ def write_csv(X, path, comments=(), header=None):
     """Write a matrix as CSV with shortest-exact float formatting.
 
     ``comments`` become leading ``#`` lines; ``header`` an optional column
-    name row. Values round-trip through :func:`load_csv` exactly.
+    name row. Values round-trip through :func:`load_csv` exactly. ``X``
+    with more than 2 dimensions raises ``ValueError`` before the file is
+    opened.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim > 2:
+        raise ValueError(f"X must have at most 2 dimensions, got {X.ndim}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")

@@ -263,10 +263,12 @@ def l1_logreg_predict(model: L1LogRegModel, X):
 
 
 def _check_labels(y, name):
-    """``y`` as a 1-D int64 array; raises ``ValueError`` naming ``name``
-    unless it holds integer class ids >= 0 (a cast would truncate 1.7 to 1
-    and send a negative id to numpy's own errors)."""
-    y = np.asarray(y).ravel()
+    """``y`` as an int64 array; raises ``ValueError`` naming ``name`` unless
+    it is 1-D and holds integer class ids >= 0 (a cast would truncate 1.7
+    to 1 and send a negative id to numpy's own errors)."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {y.shape}")
     with np.errstate(invalid="ignore"):
         labels = y.astype(np.int64) if y.dtype.kind in "iuf" else None
     if labels is None or ((labels != y) | (labels < 0)).any():
@@ -298,8 +300,8 @@ def _class_counts(y, min_count):
 
 
 def _check_folds(y, n_folds):
-    """Class counts of checked labels ``y``, if ``select_lambda`` can split
-    them into ``n_folds`` folds: each class needs a sample in every training
+    """Raise ``ValueError`` unless ``select_lambda`` can split checked labels
+    ``y`` into ``n_folds`` folds: each class needs a sample in every training
     fold, and a fold count above the largest class size leaves a fold
     empty."""
     counts = _class_counts(y, 2)
@@ -308,7 +310,13 @@ def _check_folds(y, n_folds):
             f"n_folds must be between 2 and the largest class size "
             f"{counts.max()}, got {n_folds}"
         )
-    return counts
+
+
+def _shuffled_classes(y, seed):
+    """Each class's sample indices, in ``np.unique(y)`` order, shuffled in
+    turn by one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(np.flatnonzero(y == cls)) for cls in np.unique(y)]
 
 
 def stratified_split(y, sizes, seed: int = 0):
@@ -326,18 +334,12 @@ def stratified_split(y, sizes, seed: int = 0):
         raise ValueError(f"split sizes must be >= 0, got {sizes}")
     if sum(sizes) > y.size:
         raise ValueError("requested split exceeds available samples")
-    rng = np.random.default_rng(seed)
-    by_class = {}
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        by_class[cls] = list(idx)
-    classes = sorted(by_class)
-    freqs = np.array([len(by_class[c]) for c in classes], dtype=np.float64)
+    by_class = _shuffled_classes(y, seed)
+    freqs = np.array([idx.size for idx in by_class], dtype=np.float64)
     freqs /= freqs.sum()
     splits = []
     for size in sizes:
-        avail = np.array([len(by_class[c]) for c in classes])
+        avail = np.array([idx.size for idx in by_class])
         quota = freqs * size
         take = np.minimum(np.floor(quota).astype(int), avail)
         # top up by largest remainder among classes with spare samples
@@ -351,9 +353,9 @@ def stratified_split(y, sizes, seed: int = 0):
                 short -= 1
             cursor += 1
         chosen = []
-        for cls, count in zip(classes, take):
-            chosen.extend(by_class[cls][:count])
-            by_class[cls] = by_class[cls][count:]
+        for c, count in enumerate(take):
+            chosen.extend(by_class[c][:count])
+            by_class[c] = by_class[c][count:]
         splits.append(np.sort(np.asarray(chosen, dtype=np.int64)))
     return tuple(splits)
 
@@ -361,15 +363,17 @@ def stratified_split(y, sizes, seed: int = 0):
 def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     """Pick the L1 strength by stratified k-fold cross-validated accuracy.
 
-    Each fold's training rows are fit along the whole grid with one
-    ``l1_logreg_fit`` call, which solves it as a warm-started path from
-    strongest to weakest value. Ties prefer the stronger penalty. Returns
-    ``(best_lambda, mean_accuracies)`` with accuracies aligned to the given
-    grid. Raises ``ValueError``, before any fit, for a grid that is empty,
-    not 1-D or holds a value that is not a finite number >= 0; for labels
-    that are not class ids 0..K-1 with K >= 2 and at least 2 samples each;
-    and for a fold count that is not an integer from 2 to the size of the
-    largest class (a larger count would leave a fold empty).
+    Each class's samples, shuffled as ``stratified_split`` shuffles them,
+    are dealt to the folds in turn. Each fold's training rows are fit along
+    the whole grid with one ``l1_logreg_fit`` call, which solves it as a
+    warm-started path from strongest to weakest value. Ties prefer the
+    stronger penalty. Returns ``(best_lambda, mean_accuracies)`` with
+    accuracies aligned to the given grid. Raises ``ValueError``, before any
+    fit, for a grid that is empty, not 1-D or holds a value that is not a
+    finite number >= 0; for labels that are not class ids 0..K-1 with K >= 2
+    and at least 2 samples each; and for a fold count that is not an integer
+    from 2 to the size of the largest class (a larger count would leave a
+    fold empty).
     """
     check_integer(seed, "seed", 0)
     X = validate_matrix(X)
@@ -383,23 +387,18 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     )
     if lambdas.size == 0:
         raise ValueError("the lambda grid is empty")
-    counts = _check_folds(y, n_folds)
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(n_folds)]
-    for cls in range(counts.size):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        for i, sample in enumerate(idx):
-            folds[i % n_folds].append(sample)
-    folds = [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+    _check_folds(y, n_folds)
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for idx in _shuffled_classes(y, seed):
+        fold_of[idx] = np.arange(idx.size) % n_folds
 
     accuracy = np.zeros((n_folds, lambdas.size))
-    for fi, fold in enumerate(folds):
-        mask = np.ones(y.size, dtype=bool)
-        mask[fold] = False
-        for li, model in enumerate(l1_logreg_fit(X[mask], y[mask], lambdas)):
-            pred, _ = l1_logreg_predict(model, X[fold])
-            accuracy[fi, li] = float(np.mean(pred == y[fold]))
+    for fi in range(n_folds):
+        train, test = fold_of != fi, fold_of == fi
+        models = l1_logreg_fit(X[train], y[train], lambdas)
+        for li, model in enumerate(models):
+            pred, _ = l1_logreg_predict(model, X[test])
+            accuracy[fi, li] = float(np.mean(pred == y[test]))
     means = accuracy.mean(axis=0)
     best = np.flatnonzero(means == means.max())
     strongest = best[np.argmax(lambdas[best])]
@@ -451,7 +450,7 @@ class PcaBaseline:
     def fit(cls, X, horn_params: HornParams | None = None) -> "PcaBaseline":
         scaler = standardize_fit(X)
         Xs = standardize_apply(scaler, X)
-        h = horn_components(Xs, horn_params or HornParams())
+        h = horn_components(Xs, horn_params)
         pca = pca_fit(Xs, h)
         return cls(scaler=scaler, loadings=pca.loadings)
 

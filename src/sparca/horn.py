@@ -60,6 +60,19 @@ class HornParams:
         check_number(self.percentile, "percentile", 0, 100, open_low=True)
 
 
+def check_horn_params(params):
+    """``params``, or ``HornParams()`` for ``None``; anything else that is
+    not a ``HornParams`` raises ``ValueError``."""
+    if params is None:
+        return HornParams()
+    if not isinstance(params, HornParams):
+        raise ValueError(
+            "Horn parameters must be a HornParams or None, got "
+            f"{type(params).__name__}"
+        )
+    return params
+
+
 def _mix64(z):
     """SplitMix64 finalizer, in place on a uint64 array (wrapping mod 2^64).
 
@@ -259,8 +272,9 @@ def horn_components(
         Standardized columns of a single feature cluster, or a stack of
         such blocks; each block's count is the one it gets alone.
     params : HornParams, optional
-        Trial count, percentile, and seed; defaults are 20 trials at the
-        95th percentile with seed 0.
+        Trial count, percentile, and seed; ``None`` gives 20 trials at the
+        95th percentile with seed 0, and any other non-``HornParams``
+        raises ``ValueError``.
     perms : _PermutationTable, optional
         Null permutations for this seed, trial count and row count, shared
         by the blocks of one cut (``FeatureTree.cuts`` builds one per call);
@@ -273,6 +287,7 @@ def horn_components(
         rank-matched null percentile, floored at 1 and capped at
         ``min(n_samples - 1, n_cols)``.
     """
+    params = check_horn_params(params)
     x = np.asarray(x)
     stacked = x.ndim == 3
     if stacked:
@@ -282,8 +297,6 @@ def horn_components(
         xs = validate_matrix(x.reshape(k * n, m), name="x").reshape(k, n, m)
     else:
         xs = validate_matrix(x, name="x")[np.newaxis]
-    if params is None:
-        params = HornParams()
     _, n, m = xs.shape
     if n < 2:
         raise ValueError("need at least 2 samples")

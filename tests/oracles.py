@@ -8,7 +8,10 @@ least-squares fit from scratch with ``np.linalg.lstsq``, Horn's null
 hashes every sort key with Python integers and permutes one column at a time,
 the logistic loss gradient is formed from its textbook formula rather
 than the solver's split-sign objective, and a CSV file is read one cell at a
-time with ``csv.reader`` and ``float()``.
+time with ``csv.reader`` and ``float()``. The cf-curve's smoothing runs one
+grid point at a time, its default grid fixes its endpoint and deduplicates
+twice, and the stratified split and the cross-validation folds deal samples
+from per-class lists; the library's array forms must match them bit for bit.
 """
 
 import csv
@@ -221,3 +224,108 @@ def float_csv(path, has_header=False):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
+
+
+def cf_derivative(ks, fs):
+    """The cf-curve's slope at each grid point, with the ends one-sided."""
+    ks = np.asarray(ks).astype(np.float64)
+    fs = np.asarray(fs).astype(np.float64)
+    if ks.size == 1:
+        return np.zeros(1)
+    deriv = np.empty(ks.size)
+    deriv[0] = (fs[1] - fs[0]) / (ks[1] - ks[0])
+    deriv[-1] = (fs[-1] - fs[-2]) / (ks[-1] - ks[-2])
+    if ks.size > 2:
+        deriv[1:-1] = (fs[2:] - fs[:-2]) / (ks[2:] - ks[:-2])
+    return deriv
+
+
+def plateau_start(ks, deriv, window):
+    """The grid value at the first minimum of the derivative averaged over
+    ``window`` points, one point at a time; fewer than three points give
+    the first grid value."""
+    if deriv.size < 3:
+        return int(ks[0])
+    width = min(window, deriv.size)
+    smoothed = np.empty_like(deriv)
+    for i in range(deriv.size):
+        lo = min(max(i - window // 2, 0), deriv.size - width)
+        smoothed[i] = deriv[lo : lo + width].mean()
+    return int(ks[int(np.argmin(smoothed))])
+
+
+def default_grid(n_features, n_points):
+    """Geometric grid of cluster counts from 2 to ``n_features``, its last
+    value set to ``n_features`` before a second deduplication."""
+    if n_features < 2:
+        return np.array([1], dtype=np.int64)
+    grid = np.unique(
+        np.rint(np.geomspace(2, n_features, n_points)).astype(np.int64)
+    )
+    grid[-1] = n_features
+    return np.unique(grid)
+
+
+def stratified_split(y, sizes, seed):
+    """Index sets drawn class by class from per-class lists, with
+    largest-remainder rounding of each class's share."""
+    y = np.asarray(y, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    by_class = {}
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        by_class[cls] = list(idx)
+    classes = sorted(by_class)
+    freqs = np.array([len(by_class[c]) for c in classes], dtype=np.float64)
+    freqs /= freqs.sum()
+    splits = []
+    for size in sizes:
+        avail = np.array([len(by_class[c]) for c in classes])
+        quota = freqs * size
+        take = np.minimum(np.floor(quota).astype(int), avail)
+        order = np.argsort(-(quota - take), kind="stable")
+        short = size - take.sum()
+        cursor = 0
+        while short > 0:
+            pos = order[cursor % order.size]
+            if take[pos] < avail[pos]:
+                take[pos] += 1
+                short -= 1
+            cursor += 1
+        chosen = []
+        for cls, count in zip(classes, take):
+            chosen.extend(by_class[cls][:count])
+            by_class[cls] = by_class[cls][count:]
+        splits.append(np.sort(np.asarray(chosen, dtype=np.int64)))
+    return tuple(splits)
+
+
+def cv_folds(y, n_folds, seed):
+    """Sorted test rows of each cross-validation fold: each class of
+    ``0..max(y)`` in turn is shuffled and its samples are dealt to the
+    folds one at a time."""
+    y = np.asarray(y, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_folds)]
+    for cls in range(int(y.max()) + 1):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for i, sample in enumerate(idx):
+            folds[i % n_folds].append(sample)
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+def squared_correlation_distances(X):
+    """Condensed ``sqrt(2 n (1 - rho^2))`` between the columns of ``X``, one
+    pair at a time: the distance of standardized columns ``sqrt(2 n (1 -
+    rho))`` with the correlation's sign ignored."""
+    n, m = X.shape
+    rho = np.corrcoef(X, rowvar=False)
+    return np.array(
+        [
+            np.sqrt(max(2.0 * n * (1.0 - rho[i, j] ** 2), 0.0))
+            for i in range(m)
+            for j in range(i + 1, m)
+        ]
+    )

@@ -3,11 +3,18 @@ import pytest
 
 import sparca.cfcurve
 import sparca.pipeline
-from sparca.cfcurve import CfCurve, cf_curve, default_grid
+from sparca.cfcurve import (
+    GRID_POINTS,
+    SMOOTHING_WINDOW,
+    CfCurve,
+    cf_curve,
+    default_grid,
+)
 from sparca.cluster import _cut_groups, feature_distances, ward_linkage
 from sparca.data import standardize_apply, standardize_fit
 from sparca.horn import HornParams, horn_components
 
+import oracles
 from conftest import block_factor_data
 
 
@@ -49,6 +56,30 @@ class TestSelectClusters:
             curve.derivative,
             [2.0, (4 - 1) / (4 - 1), (12 - 3) / (8 - 2), (12 - 4) / (8 - 4)],
         )
+
+    def test_every_grid_size_matches_the_loop_reference(self):
+        # Curves of 1-60 points whose feature counts rise, stay flat and
+        # fall, so derivatives and smoothed derivatives tie.
+        rng = np.random.default_rng(20230221)
+        for size in np.tile(np.arange(1, 61), 9):
+            ks = np.sort(rng.choice(np.arange(1, 400), size, replace=False))
+            steps = rng.choice([-1, 0, 0, 0, 1, 2, 5], size)
+            fs = 40 + np.cumsum(steps)
+            curve = CfCurve.from_points(ks, fs)
+            expected = oracles.cf_derivative(ks, fs)
+            assert curve.derivative.tobytes() == expected.tobytes()
+            assert curve.selected == oracles.plateau_start(
+                ks, expected, SMOOTHING_WINDOW
+            )
+
+    @pytest.mark.parametrize(
+        "ks, fs", [([5], [3]), ([2, 9], [4, 1]), ([2, 9], [1, 4])],
+        ids=["one", "two-falling", "two-rising"],
+    )
+    def test_short_grids_select_their_first_value(self, ks, fs):
+        # The clamped window covers the whole grid, so every smoothed value
+        # ties and argmin takes the first.
+        assert CfCurve.from_points(ks, fs).selected == ks[0]
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +305,12 @@ class TestDefaultGrid:
         assert default_grid(1).tolist() == [1]
         assert default_grid(2).tolist() == [2]
         assert default_grid(3)[-1] == 3
+
+    def test_matches_the_reference_formula(self):
+        # np.geomspace returns both endpoints exactly, so the reference's
+        # endpoint fix-up and second deduplication never change a grid.
+        for n in range(1, 5001):
+            expected = oracles.default_grid(n, GRID_POINTS)
+            got = default_grid(n)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), n

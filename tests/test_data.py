@@ -176,6 +176,15 @@ class TestCsv:
         back = load_csv(path)
         assert np.array_equal(X, back)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1, 2)])
+    def test_more_than_two_dimensions_rejected_before_writing(
+        self, tmp_path, shape
+    ):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="^X must have at most 2 dim"):
+            write_csv(np.ones(shape), path, comments=["c"], header=["a"])
+        assert not path.exists()
+
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"1.0,2.0\r\n3.0,4.0\r\n")

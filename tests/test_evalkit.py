@@ -30,6 +30,7 @@ from sparca.data import standardize_apply
 from sparca.horn import HornParams
 from sparca.pipeline import fit
 
+import oracles
 from conftest import block_factor_data
 from oracles import smooth_gradient
 
@@ -461,6 +462,50 @@ class TestSplitsAndSelection:
             with pytest.raises(ValueError, match="sizes must be integers"):
                 stratified_split(np.arange(60) % 2, sizes)
 
+    def test_stratified_split_matches_the_list_reference(self):
+        rng = np.random.default_rng(24)
+        cases = [([], [0], 0)]
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            classes = rng.choice(12, int(rng.integers(1, 7)), replace=False)
+            y = rng.choice(classes, n)
+            cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 4))))
+            sizes = rng.permutation(np.diff(cuts, prepend=0)).tolist()
+            cases.append((y, sizes, int(rng.integers(0, 1000))))
+        for y, sizes, seed in cases:
+            got = stratified_split(y, sizes, seed=seed)
+            expected = oracles.stratified_split(y, sizes, seed)
+            assert len(got) == len(expected) == len(sizes)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_select_lambda_folds_match_the_list_reference(self, monkeypatch):
+        # Column 0 holds each row's index, so every fit records its rows.
+        trained = []
+
+        def recorded(X, y, lam, **kwargs):
+            trained.append(X[:, 0].astype(np.int64))
+            k = int(y.max()) + 1
+            zeros = np.zeros((k, X.shape[1]))
+            return [L1LogRegModel(zeros, np.zeros(k), value) for value in lam]
+
+        monkeypatch.setattr(sparca.evalkit, "l1_logreg_fit", recorded)
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            counts = rng.integers(2, 15, int(rng.integers(2, 6)))
+            y = rng.permutation(np.repeat(np.arange(counts.size), counts))
+            n_folds = int(rng.integers(2, counts.max() + 1))
+            seed = int(rng.integers(0, 1000))
+            X = np.column_stack([np.arange(y.size), np.ones(y.size)])
+            trained.clear()
+            select_lambda(X, y, [0.1, 1.0], n_folds=n_folds, seed=seed)
+            folds = oracles.cv_folds(y, n_folds, seed)
+            assert len(trained) == n_folds
+            for rows, fold in zip(trained, folds):
+                assert np.array_equal(
+                    rows, np.setdiff1d(np.arange(y.size), fold)
+                )
+
     def test_select_lambda_returns_grid_member(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 4))
@@ -552,6 +597,25 @@ def _count_fits(monkeypatch):
 
 _X4 = np.arange(8.0).reshape(4, 2)
 
+# Every public evalkit function that takes labels, with the parameter named
+# in its error message.
+_LABEL_CALLS = pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda y: l1_logreg_fit(_X4, y, 0.1), "y"),
+        (lambda y: stratified_split(y, [2]), "y"),
+        (lambda y: select_lambda(_X4, y, [0.1], n_folds=2), "y"),
+        (lambda y: downstream_eval(
+            _NoTransform(), _X4, y, _X4, [0, 1, 0, 1]), "y_train"),
+        (lambda y: downstream_eval(
+            _NoTransform(), _X4, [0, 1, 0, 1], _X4, y), "y_test"),
+        (lambda y: noise_robustness(
+            [_NoTransform()], [None], _X4, y, [0.0]), "y_test"),
+    ],
+    ids=["l1_logreg_fit", "stratified_split", "select_lambda",
+         "downstream_eval-train", "downstream_eval-test", "noise"],
+)
+
 
 class TestLabels:
     @pytest.mark.parametrize(
@@ -559,27 +623,24 @@ class TestLabels:
                    ["0", "1", "0", "1"], [True, False, True, False]],
         ids=["fractional", "negative", "nan", "strings", "booleans"],
     )
-    @pytest.mark.parametrize(
-        "call, name",
-        [
-            (lambda y: l1_logreg_fit(_X4, y, 0.1), "y"),
-            (lambda y: stratified_split(y, [2]), "y"),
-            (lambda y: select_lambda(_X4, y, [0.1], n_folds=2), "y"),
-            (lambda y: downstream_eval(
-                _NoTransform(), _X4, y, _X4, [0, 1, 0, 1]), "y_train"),
-            (lambda y: downstream_eval(
-                _NoTransform(), _X4, [0, 1, 0, 1], _X4, y), "y_test"),
-            (lambda y: noise_robustness(
-                [_NoTransform()], [None], _X4, y, [0.0]), "y_test"),
-        ],
-        ids=["l1_logreg_fit", "stratified_split", "select_lambda",
-             "downstream_eval-train", "downstream_eval-test", "noise"],
-    )
+    @_LABEL_CALLS
     def test_labels_that_are_not_class_ids_rejected(self, labels, call, name):
         # A cast to int64 would fit 0.2, 1.7, 0.4, 1.1 as classes 0, 1, 0, 1.
         with pytest.raises(
             ValueError, match=f"^{name} must hold integer class ids >= 0"
         ):
+            call(labels)
+
+    @pytest.mark.parametrize(
+        "labels", [np.array([[0, 1], [0, 1]]), np.array([[0], [1], [0], [1]]),
+                   np.array(1)],
+        ids=["2x2", "column", "scalar"],
+    )
+    @_LABEL_CALLS
+    def test_labels_that_are_not_1d_rejected(self, labels, call, name):
+        # A ravel would read a label matrix as the labels of its entries,
+        # and stratified_split would return indices into that flattening.
+        with pytest.raises(ValueError, match=f"^{name} must be 1-D"):
             call(labels)
 
     def test_label_of_the_sample_count_rejected(self):

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sparca
+import sparca.evalkit
 import sparca.horn
 from sparca.data import standardize_apply, standardize_fit
 from sparca.horn import (
@@ -44,6 +46,30 @@ def _mc_null_quantiles(x, trials=1000, percentile=95.0, seed=999):
         xp = np.column_stack([x[rng.permutation(n), c] for c in range(m)])
         null[t] = _cov_eigvals(xp)
     return np.percentile(null, percentile, axis=0)
+
+
+@pytest.mark.parametrize(
+    "params", [{}, 0, {"seed": 1}, 3, "seed=1", (20, 95.0, 0)],
+    ids=["empty-dict", "zero", "dict", "int", "str", "tuple"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, p: sparca.fit(x, n_clusters=2, horn_params=p),
+        lambda x, p: sparca.cf_curve(x, horn_params=p),
+        lambda x, p: sparca.evalkit.PcaBaseline.fit(x, horn_params=p),
+        lambda x, p: horn_components(x, p),
+    ],
+    ids=["fit", "cf_curve", "PcaBaseline.fit", "horn_components"],
+)
+def test_params_that_are_not_horn_params_rejected(call, params):
+    # A falsy value used to fall back to HornParams() and fit silently; any
+    # other ended in an AttributeError.
+    x = rank1_snr_block(40, 4, seed=0)
+    with pytest.raises(
+        ValueError, match="^Horn parameters must be a HornParams or None"
+    ):
+        call(x, params)
 
 
 class TestHornComponents:
