@@ -14,10 +14,11 @@ column permutations only in distribution, not draw for draw.
 Since every block of width ``m`` draws streams ``0..m-1``, ``horn_components``
 also takes ``K`` blocks of one width as a ``(K, n, m)`` stack: one centred
 transposed ``(K, m, n)`` copy, from which both spectra take ``min(m, n)``
-ranks, one gather per trial for all ``K`` blocks, one stacked product and
-``eigvalsh`` per chunk, and one percentile. Each block still goes through
-the same operations on the same values as alone, so its count does not
-depend on the stack it is in; a single ``(n, m)`` block is the stack of one.
+ranks; per chunk of trials and blocks (2 MiB of permuted copies, or one
+trial of a larger block), one gather, one stacked product and one
+``eigvalsh``; and one percentile. Each block still goes through the same
+operations on the same values as alone, so its count does not depend on
+the stack it is in; a single ``(n, m)`` block is the stack of one.
 
 ``_permutations`` says how the streams are hashed and why their packed-key
 sort is exact, ``_PermutationTable`` how the shared table is sized, and
@@ -89,12 +90,11 @@ def _mix64(z):
     return z
 
 
-# Entries per chunk of permuted trials, and the cap of a permutation table.
+# The cap of a permutation table, in entries.
 _CHUNK_ENTRIES = 4_000_000
-# Permuted entries of a chunk of a stack's blocks, unless one block has more:
-# about the largest single block of a 1000 x 96 feature tree, so stacking
-# raises no peak there.
-_STACK_ENTRIES = 1 << 20
+# Entries of a chunk of Horn's null, unless one block has more: its permuted
+# copies (float64) and their offsets (intp) take 2 MiB each.
+_STACK_ENTRIES = 1 << 18
 # Sort keys hashed and sorted at a time: a block of columns stays in cache.
 _SORT_ENTRIES = 1 << 15
 
@@ -166,10 +166,12 @@ class _PermutationTable:
     """The null permutations of the blocks of one cut of a feature tree.
 
     ``columns(m)`` is ``_permutations(seed, range(n_repeats), m, n_rows)``
-    as int32 (``n_rows < 2**22``) for a block of ``m`` columns. The table
-    holds ``C = min(n_cols, _CHUNK_ENTRIES // (n_repeats * n_rows))``
-    columns, at most about 16 MB; a block wider than ``C`` generates its
-    permutations per chunk instead, which gives the same permutations.
+    for a block of ``m`` columns, in the smallest unsigned type that holds
+    a row index: uint8 up to 256 rows, uint16 up to 65,536 and uint32 above
+    (``n_rows < 2**22``). The table holds ``C = min(n_cols, _CHUNK_ENTRIES
+    // (n_repeats * n_rows))`` columns, at most 4M entries: 4, 8 or 16 MB
+    by type. A block wider than ``C`` generates its permutations per chunk
+    of trials instead, which gives the same permutations.
     Every column is written in ``__init__`` and never again, so threads
     share the table without a lock: they only read an array that was
     complete before they started.
@@ -187,8 +189,9 @@ class _PermutationTable:
         cols = min(n_cols, _CHUNK_ENTRIES // (params.n_repeats * n_rows))
         shape = (params.n_repeats, cols, n_rows)
         size = math.prod(shape)
-        buffer = mmap.mmap(-1, 4 * max(size, 1))
-        self._perms = np.frombuffer(buffer, np.int32, size).reshape(shape)
+        dtype = np.min_scalar_type(n_rows - 1)
+        buffer = mmap.mmap(-1, dtype.itemsize * max(size, 1))
+        self._perms = np.frombuffer(buffer, dtype, size).reshape(shape)
         _permutations(
             self.seed, range(self.n_repeats), cols, n_rows, out=self._perms
         )
@@ -218,42 +221,42 @@ def _null_eigvals(xt, params: HornParams, table=None):
 
     Permuting a column keeps its mean, so the permuted copies of a centred
     block are centred too. Each block of ``xt`` is flattened, so its column
-    ``j`` starts at offset ``j * n``; trial ``t`` of every block of the
-    stack is then one ``np.take`` of the offsets ``j * n + p[t, j]``,
-    ``permuted[t, k, j] = x[k][p[t, j], j]``. The copies land in a
-    C-contiguous ``(t, K, m, n)`` array whose matrices are the transposed
-    copies, one row per variable: each trial's covariance is one product of
-    such a matrix with its transpose. Trials, then blocks, are taken in
-    chunks, one buffer for all of them: trials as ``_CHUNK_ENTRIES``
-    allows for one block, as without stacking, and blocks as
-    ``_STACK_ENTRIES`` allows for those trials.
+    ``j`` starts at offset ``j * n``, and trial ``t`` reads the offsets
+    ``j * n + p[t, j]``. One ``_STACK_ENTRIES`` budget sizes a chunk: as
+    many trials of one block as it holds, then as many blocks of those
+    trials. A chunk of trials writes its offsets once, into a reused intp
+    ``(t, m, n)`` array; a chunk of blocks is then one ``np.take`` of them,
+    ``permuted[k, t, j] = x[k][p[t, j], j]``, into a C-contiguous ``(K, t,
+    m, n)`` view of one reused buffer. Its matrices are the transposed
+    copies, one row per variable, so each trial's covariance is one
+    product of such a matrix with its transpose, and the chunk's spectra
+    land in ``null`` in its own order.
     """
     k, m, n = xt.shape
     flat = xt.reshape(k, m * n)
     null = np.empty((k, params.n_repeats, min(m, n)))
-    trials = min(params.n_repeats, max(1, _CHUNK_ENTRIES // (n * m)))
+    trials = min(params.n_repeats, max(1, _STACK_ENTRIES // (n * m)))
     blocks = min(k, max(1, _STACK_ENTRIES // (trials * n * m)))
-    buffer = np.empty((trials, blocks, m, n))
+    buffer = np.empty(blocks * trials * m * n)
+    offsets = np.empty((trials, m, n), dtype=np.intp)
     perms = None if table is None else table.columns(m)
     starts = np.arange(0, m * n, n).reshape(m, 1)
-    offsets = np.empty((m, n), dtype=np.intp)
     for t0 in range(0, params.n_repeats, trials):
         t1 = min(t0 + trials, params.n_repeats)
+        chunk = offsets[: t1 - t0]
         if perms is None:
-            p = _permutations(params.seed, range(t0, t1), m, n)
+            _permutations(params.seed, range(t0, t1), m, n, out=chunk)
+            chunk += starts
         else:
-            p = perms[t0:t1]
+            np.add(perms[t0:t1], starts, out=chunk)
         for b0 in range(0, k, blocks):
             b1 = min(b0 + blocks, k)
-            permuted = buffer[: t1 - t0, : b1 - b0]
-            for t in range(t1 - t0):
-                np.add(p[t], starts, out=offsets)
-                # The offsets are in range, so "wrap" changes none of them;
-                # unlike the default mode it fills ``out`` in place.
-                np.take(
-                    flat[b0:b1], offsets, axis=1, out=permuted[t], mode="wrap"
-                )
-            null[b0:b1, t0:t1] = _sorted_eigvals(permuted).swapaxes(0, 1)
+            shape = (b1 - b0,) + chunk.shape
+            permuted = buffer[: math.prod(shape)].reshape(shape)
+            # The offsets are in range, so "wrap" changes none of them;
+            # unlike the default mode it fills ``out`` in place.
+            np.take(flat[b0:b1], chunk, axis=1, out=permuted, mode="wrap")
+            null[b0:b1, t0:t1] = _sorted_eigvals(permuted)
     return null
 
 

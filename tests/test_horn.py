@@ -197,8 +197,8 @@ class TestPermutationTable:
         assert table.columns(10) is None
 
     def test_table_is_filled_in_place(self):
-        # The int32 table is written block by block, with no intp copy of
-        # it: at 20 x 96 x 1000 such a copy alone would be 15 MB.
+        # The uint16 table of 1000 rows is written block by block, with no
+        # intp copy of it: at 20 x 96 x 1000 such a copy alone would be 15 MB.
         params = HornParams(seed=6)
         tracemalloc.start()
         try:
@@ -213,8 +213,9 @@ class TestPermutationTable:
 
     def test_shared_table_gives_the_same_null(self, monkeypatch):
         # A cap of 12 columns at 8 rows: the 14-column block falls back to
-        # per-chunk permutations, in two chunks of trials.
+        # per-chunk permutations, in two chunks of 10 trials.
         monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * 12 * 8)
+        monkeypatch.setattr(sparca.horn, "_STACK_ENTRIES", 10 * 14 * 8)
         params = HornParams(seed=4)
         X, _ = block_factor_data(8, seed=2)
         table = _PermutationTable(params, *X.shape)
@@ -230,6 +231,18 @@ class TestPermutationTable:
             )
         assert table.columns(13) is None
         assert table._perms.shape == (20, 12, 8)
+
+    @pytest.mark.parametrize(
+        "n_rows, dtype",
+        [(256, np.uint8), (257, np.uint16), (65536, np.uint16),
+         (65537, np.uint32)],
+    )
+    def test_table_holds_rows_in_the_smallest_type(self, n_rows, dtype):
+        table = _PermutationTable(HornParams(n_repeats=2, seed=9), n_rows, 2)
+        assert table._perms.dtype == dtype
+        assert np.array_equal(
+            table.columns(2), _permutations(9, range(2), 2, n_rows)
+        )
 
     def test_mismatched_table_rejected(self):
         x = rank1_snr_block(30, 4, seed=0)
@@ -283,8 +296,9 @@ class TestNullOracle:
 
     def test_block_wider_than_the_table_matches_oracle(self, monkeypatch):
         # A cap of 12 columns at 8 rows: the 14-column block permutes per
-        # chunk of trials, outside the table.
+        # chunk of trials, outside the table, in two chunks of 10 trials.
         monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * 12 * 8)
+        monkeypatch.setattr(sparca.horn, "_STACK_ENTRIES", 10 * 14 * 8)
         params = HornParams(seed=4)
         x = _standardize(block_factor_data(8, seed=2)[0][:, :14])
         table = _PermutationTable(params, *x.shape)
@@ -438,6 +452,47 @@ class TestStacks:
         # permuted copies that every chunk reuses.
         assert peak < 2 * stack.nbytes + 8 * budget + (1 << 20)
         assert counts == [horn_components(x, params) for x in stack]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "table"])
+    @pytest.mark.parametrize(
+        "n, m, cap",
+        [(30, 6, None), (9, 14, None), (8, 14, 12)],
+        ids=["cov", "gram", "wider-than-table"],
+    )
+    def test_null_is_the_same_at_any_budget(
+        self, monkeypatch, n, m, cap, shared
+    ):
+        # Budget 1 takes one trial of one block per chunk, as does n * m,
+        # the smallest budget that fits a block; 3 * n * m takes chunks of
+        # 3 trials, 40 * n * m all 20 trials of 2 blocks, and the default
+        # the whole stack at once. Every chunking gives the same bits.
+        if cap is not None:
+            monkeypatch.setattr(sparca.horn, "_CHUNK_ENTRIES", 20 * cap * n)
+        params = HornParams(seed=4)
+        xt = _centred_t(_stack(n, m, 3, seed=2))
+        table = _PermutationTable(params, n, m) if shared else None
+        expected = _null_eigvals(xt, params, table)
+        for budget in (1, n * m, 3 * n * m, 40 * n * m):
+            monkeypatch.setattr(sparca.horn, "_STACK_ENTRIES", budget)
+            assert np.array_equal(_null_eigvals(xt, params, table), expected)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "table"])
+    def test_working_set_stays_within_the_budget(self, shared):
+        # All 20 permuted copies of this block would take 32 MB; a chunk
+        # holds one budget of copies and one of their offsets.
+        params = HornParams(seed=5)
+        block = _standardize(
+            np.random.default_rng(3).standard_normal((2000, 100))
+        )
+        table = _PermutationTable(params, *block.shape) if shared else None
+        tracemalloc.start()
+        try:
+            horn_components(block, params, perms=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 2 * 8 * sparca.horn._STACK_ENTRIES
+        assert peak < 2 * block.nbytes + budget + (1 << 20)
 
 
 class TestPackedSort:
