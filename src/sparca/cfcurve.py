@@ -14,6 +14,8 @@ with automatic selection all read it.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +28,6 @@ from .data import (
     check_numbers,
     standardize_apply,
     standardize_fit,
-    thread_map,
 )
 from .horn import (
     HornParams, _PermutationTable, check_horn_params, horn_components
@@ -94,6 +95,14 @@ def _plateau_start(ks, deriv):
     return int(ks[int(np.argmin(smoothed))])
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: the size of its affinity set where
+    the OS has one (``taskset`` and cpusets narrow it), else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_grid(n_features: int):
     """Geometric grid of ``GRID_POINTS`` points from 2 to ``n_features``,
     deduplicated; ``np.geomspace`` returns both endpoints exactly."""
@@ -116,6 +125,9 @@ class FeatureTree:
     one stack (one call per class, not per node); a node's count is the one
     it gets alone. ``horn`` describes the table, its sort and the gather of
     a stack's permuted copies.
+    ``n_threads`` caps the worker threads that count those stacks, one task
+    per width class; it defaults to the CPUs this process may run on, and no
+    count depends on it.
     Stages are module globals here, where stage tracers wrap them. A single
     kept column gets an empty linkage, whose only cut is that column.
     """
@@ -168,10 +180,14 @@ class FeatureTree:
             return horn_components(stack, self.horn_params, perms=table)
 
         stacks = list(nodes_of_width.values())
-        for nodes, counts in zip(
-            stacks, thread_map(count, stacks, self.n_threads)
-        ):
-            self._count_of_node.update(zip(nodes, counts))
+        workers = min(len(stacks), self.n_threads or _usable_cpus())
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                counts = list(pool.map(count, stacks))
+        else:
+            counts = list(map(count, stacks))
+        for nodes, stack_counts in zip(stacks, counts):
+            self._count_of_node.update(zip(nodes, stack_counts))
         return [
             (groups, [self._count_of_node[node] for node in node_ids])
             for node_ids, groups in cuts
@@ -203,7 +219,8 @@ def cf_curve(
 
     One ``FeatureTree`` is cut at every grid value (default: ``default_grid``
     of the kept column count); the feature count at each cut is the sum of
-    per-cluster Horn counts, each computed once per distinct dendrogram node.
-    ``fit`` with ``n_clusters=None`` selects from this same curve.
+    per-cluster Horn counts, each computed once per distinct dendrogram node,
+    on up to ``n_threads`` workers as in ``FeatureTree``. ``fit`` with
+    ``n_clusters=None`` selects from this same curve.
     """
     return FeatureTree(X, horn_params, n_threads).curve(grid)

@@ -4,11 +4,12 @@ Subcommands: fit, transform, cf-curve, profile, eval, synth. Numeric outputs
 are CSV files; models are versioned JSON. Every command is deterministic.
 ``fit``, ``cf-curve``, ``profile``, ``eval`` and ``synth`` draw from
 ``--seed`` (env default ``SPARCA_SEED``). ``fit``, ``cf-curve`` and ``eval``
-take ``--threads``, the worker thread cap (env default ``SPARCA_THREADS``,
-else the core count), which does not change their results. ``transform``
-takes neither. A variable is read after the arguments are parsed, only by a
-command that takes its flag and only when the flag is not given, so a bad
-value stops only such a command.
+take ``--threads``, the cap on the worker threads that run the Horn counts
+of the Ward tree's new nodes, one task per width class (env default
+``SPARCA_THREADS``, else the CPUs the process may run on); it does not
+change their results. ``transform`` takes neither. A variable is read after
+the arguments are parsed, only by a command that takes its flag and only
+when the flag is not given, so a bad value stops only such a command.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _fraction(text):
 def _apply_env_defaults(parser, args):
     """Set each flag the command takes but was not given from its variable,
     if that is set; a bad value is a usage error. A ``threads`` of None
-    leaves the core count to ``data.thread_map``."""
+    leaves the worker count to ``cfcurve.FeatureTree``: the CPUs the process
+    may run on."""
     for attr, name, convert, fallback in (
         ("seed", "SPARCA_SEED", int, 0),
         ("threads", "SPARCA_THREADS", _thread_count, None),
@@ -87,8 +89,8 @@ def _add_seed(parser):
 
 def _add_threads(parser):
     parser.add_argument("--threads", type=_thread_count,
-                        help="worker thread cap "
-                             "(default: $SPARCA_THREADS or core count)")
+                        help="worker thread cap for the Horn counts "
+                             "(default: $SPARCA_THREADS or the usable CPUs)")
 
 
 def _add_input(parser):

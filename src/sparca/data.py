@@ -13,11 +13,9 @@ from __future__ import annotations
 import gzip
 import math
 import numbers
-import os
 import re
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,20 +131,6 @@ def check_numbers(values, name, low=None, integer=False, what=None):
     bound = "" if low is None else f" >= {low}"
     what = what or ("integers" if integer else "finite numbers")
     raise ValueError(f"{name} must be {what}{bound}, got {values!r}")
-
-
-def thread_map(fn, items, n_threads=None):
-    """``[fn(item) for item in items]`` on up to ``n_threads`` worker threads.
-
-    ``n_threads`` defaults to the core count. With one worker or one item,
-    everything runs on the calling thread.
-    """
-    items = list(items)
-    workers = n_threads or os.cpu_count() or 1
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def standardize_fit(X) -> Scaler:

@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,19 @@ class TestCfCurve:
             cf_curve(block_data, n_threads=n_threads)
         with pytest.raises(ValueError, match=message):
             sparca.pipeline.fit(block_data, n_threads=n_threads)
+
+    def test_default_workers_are_the_usable_cpus(self, block_data, monkeypatch):
+        # One CPU in the affinity set of a 64-core machine runs no pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool on one usable CPU")
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
+        curve = cf_curve(block_data)
+        assert curve.points == cf_curve(block_data, n_threads=1).points
 
 
 class TestDefaultGrid:

@@ -189,7 +189,7 @@ class TestEnvironmentDefaults:
     def test_unset_values_leave_the_defaults(
         self, block_csv, tmp_path, monkeypatch
     ):
-        # No thread count reaches the library: data.thread_map picks it.
+        # No thread count reaches the library: FeatureTree picks it.
         monkeypatch.delenv("SPARCA_SEED", raising=False)
         monkeypatch.delenv("SPARCA_THREADS", raising=False)
         seen = {}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -124,6 +125,22 @@ class TestFit:
         assert np.array_equal(
             one.assignment.labels, four.assignment.labels
         )
+
+    def test_clusters_are_fitted_on_the_calling_thread(self, monkeypatch):
+        # n_threads sizes only the pool over Horn's stacks.
+        X, _ = block_factor_data(200, n_blocks=4, seed=3)
+        threads = []
+        for name in ("pca_fit", "omp_fit"):
+            real = getattr(sparca.pipeline, name)
+
+            def recorded(*args, real=real, **kwargs):
+                threads.append(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(sparca.pipeline, name, recorded)
+        model = fit(X, n_clusters=4, n_threads=4)
+        assert len(threads) == model.n_clusters + model.n_reduced
+        assert set(threads) == {threading.get_ident()}
 
     def test_cluster_count_validation(self):
         rng = np.random.default_rng(1)

@@ -6,15 +6,19 @@ Usage, from the repository root:
 
 Input seeds 0-31 of each workload in ``perfbench/workloads.py`` go through
 ``workloads.run_job`` with ``n_threads=1`` and one BLAS thread, as the
-benchmark runs them. Per input the file holds the SHA-256 of the model file
-and of the served values, and the ``image_eval`` test accuracies. For the
-inputs whose cluster count comes from the cf-curve it adds the curve's
-points, its derivative (as ``float.hex``) and the selected k; for the
-``image_eval`` inputs, the digest of the ``stratified_split`` indices and
-each ``select_lambda`` call's best lambda and CV means (as ``float.hex``).
+benchmark runs them, and again with ``n_threads=2``. The tool exits
+non-zero, naming the first input, if an input's two records differ; the file
+holds the ``n_threads=1`` records. Per input it holds the SHA-256 of the
+model file and of the served values, and the ``image_eval`` test accuracies.
+For the inputs whose cluster count comes from the cf-curve it adds the
+curve's points, its derivative (as ``float.hex``) and the selected k; for
+the ``image_eval`` inputs, the digest of the ``stratified_split`` indices
+and each ``select_lambda`` call's best lambda and CV means (as
+``float.hex``).
 The file holds no timing or environment, so two checkouts produce the same
 outputs exactly when ``diff`` of their files prints nothing. Nothing under
-``perfbench/`` is written.
+``perfbench/`` is written. The second pass about doubles the run time: 95 s
+against 46 s for the first pass alone, on 2 vCPUs.
 """
 
 import os
@@ -61,7 +65,7 @@ def _record_calls(module, name, log):
     return real
 
 
-def digest_input(sparca, workload, input_seed, model_path):
+def digest_input(sparca, workload, input_seed, model_path, n_threads):
     curves, splits, lambdas = [], [], []
     recorded = [
         (sparca, "cf_curve", curves),
@@ -72,7 +76,7 @@ def digest_input(sparca, workload, input_seed, model_path):
     try:
         inputs = workloads.make_inputs(workload, input_seed)
         job = workloads.run_job(
-            sparca, workload, inputs, model_path, input_seed, n_threads=1
+            sparca, workload, inputs, model_path, input_seed, n_threads
         )
     finally:
         for (module, name, _), real in zip(recorded, reals):
@@ -109,10 +113,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         model_path = os.path.join(tmp, "model.json")
         for name, workload in workloads.WORKLOADS.items():
-            out[name] = {
-                str(seed): digest_input(sparca, workload, seed, model_path)
-                for seed in range(workloads.N_INPUT_SEEDS)
-            }
+            out[name] = {}
+            for seed in range(workloads.N_INPUT_SEEDS):
+                record = digest_input(sparca, workload, seed, model_path, 1)
+                if digest_input(sparca, workload, seed, model_path, 2) != record:
+                    raise SystemExit(
+                        f"{name} input {seed}: outputs at n_threads=2 "
+                        f"differ from n_threads=1"
+                    )
+                out[name][str(seed)] = record
             print(f"{name}: {workloads.N_INPUT_SEEDS} inputs", flush=True)
     with open(args[0], "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
