@@ -162,24 +162,22 @@ class FeatureTree:
         """
         ks = check_numbers(ks, "ks", 1, integer=True).tolist()
         cuts = [_cut_groups(self.linkage, k) for k in ks]
-        cols_of_new = {}
+        # width -> {new node: its columns}, each in order of first sight
+        new_of_width = {}
         for node_ids, groups in cuts:
             for node, cols in zip(node_ids, groups):
                 if node not in self._count_of_node:
-                    cols_of_new.setdefault(node, cols)
-        nodes_of_width = {}
-        for node, cols in cols_of_new.items():
-            nodes_of_width.setdefault(len(cols), []).append(node)
+                    new_of_width.setdefault(len(cols), {})[node] = cols
         table = _PermutationTable(
-            self.horn_params, self.Xs.shape[0], max(nodes_of_width, default=0)
+            self.horn_params, self.Xs.shape[0], max(new_of_width, default=0)
         )
 
         def count(nodes):
-            cols = np.array([cols_of_new[node] for node in nodes])
+            cols = np.array(list(nodes.values()))
             stack = np.ascontiguousarray(np.moveaxis(self.Xs[:, cols], 1, 0))
             return horn_components(stack, self.horn_params, perms=table)
 
-        stacks = list(nodes_of_width.values())
+        stacks = list(new_of_width.values())
         workers = min(len(stacks), self.n_threads or _usable_cpus())
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -114,12 +114,13 @@ def _noise_levels(text):
 
 
 def cmd_fit(args) -> int:
+    horn = HornParams(seed=args.seed)
     X = load_csv(args.input, has_header=args.has_header)
     model = fit(
         X,
         n_clusters=args.clusters,
         variance_threshold=args.variance,
-        horn_params=HornParams(seed=args.seed),
+        horn_params=horn,
         n_threads=args.threads,
     )
     if args.clusters is None:
@@ -157,12 +158,12 @@ def cmd_transform(args) -> int:
 
 
 def cmd_cf_curve(args) -> int:
+    horn = HornParams(seed=args.seed)
     X = load_csv(args.input, has_header=args.has_header)
-    grid = _int_list(args.grid) if args.grid else None
     curve = cf_curve(
         X,
-        grid=grid,
-        horn_params=HornParams(seed=args.seed),
+        grid=args.grid or None,
+        horn_params=horn,
         n_threads=args.threads,
     )
     rows = np.column_stack(
@@ -180,8 +181,8 @@ def cmd_cf_curve(args) -> int:
 
 def cmd_profile(args) -> int:
     report = evalkit.profile_runtime(
-        _int_list(args.samples),
-        _int_list(args.features),
+        args.samples,
+        args.features,
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -205,9 +206,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.idx_images and not args.idx_labels:
+        raise ValueError("--idx-labels is required with --idx-images")
+    fracs = (args.embed_frac, args.train_frac, args.test_frac)
+    if sum(fracs) > 1.0 + 1e-9:
+        raise ValueError("split fractions must sum to at most 1")
+    horn = HornParams(seed=args.seed)
     if args.idx_images:
-        if not args.idx_labels:
-            raise ValueError("--idx-labels is required with --idx-images")
         X, y = load_idx(args.idx_images, args.idx_labels)
     else:
         label_col = -1 if args.label_col is None else args.label_col
@@ -216,9 +221,6 @@ def cmd_eval(args) -> int:
         )
     # Both loaders return integer ids >= 0; each of 0..K-1 must occur.
     evalkit._class_counts(y, 1)
-    fracs = (args.embed_frac, args.train_frac, args.test_frac)
-    if sum(fracs) > 1.0 + 1e-9:
-        raise ValueError("split fractions must sum to at most 1")
     sizes = [max(1, int(round(frac * y.size))) for frac in fracs]
     embed_idx, train_idx, test_idx = evalkit.stratified_split(
         y, sizes, seed=args.seed
@@ -228,7 +230,6 @@ def cmd_eval(args) -> int:
         evalkit._check_folds(y[train_idx], args.cv_folds)
     except ValueError as exc:
         raise ValueError(f"{exc} (--cv-folds)") from None
-    horn = HornParams(seed=args.seed)
     sparca_model = fit(
         X[embed_idx],
         n_clusters=args.clusters,
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf-curve", help="trace the cluster-feature curve")
     _add_input(p)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=_int_list, default=None,
                    help="comma-separated cluster counts (default: geometric)")
     p.add_argument("--out", required=True, help="curve CSV output path")
     _add_seed(p)
@@ -323,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cf_curve)
 
     p = sub.add_parser("profile", help="measure fit runtime scaling")
-    p.add_argument("--samples", default="500,1000,2000,4000,8000",
+    p.add_argument("--samples", type=_int_list,
+                   default="500,1000,2000,4000,8000",
                    help="sample-axis grid (features fixed at 100)")
-    p.add_argument("--features", default="100,200,400,800,1600",
+    p.add_argument("--features", type=_int_list,
+                   default="100,200,400,800,1600",
                    help="feature-axis grid (samples fixed at 50)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="timing CSV output path")

@@ -22,10 +22,6 @@ class ClusterPca:
     scores: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def n_components(self) -> int:
-        return self.loadings.shape[1]
-
 
 def pca_fit(x, n_components: int) -> ClusterPca:
     """Fit the top ``n_components`` principal components of a centered block.

@@ -243,7 +243,7 @@ def _logistic_loss(Z, Y):
 
 
 def l1_logreg_predict(model: L1LogRegModel, X):
-    """Predicted labels and per-class linear scores.
+    """Predicted labels: the class of the largest linear score.
 
     Ties resolve to the smallest class id. ``X`` must have the model's
     feature count.
@@ -255,7 +255,7 @@ def l1_logreg_predict(model: L1LogRegModel, X):
             f"X has {X.shape[1]} features, but the model was fit on {width}"
         )
     scores = X @ model.weights.T + model.intercepts
-    return np.argmax(scores, axis=1).astype(np.int64), scores
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,10 @@ def select_lambda(X, y, lambdas=None, n_folds: int = 5, seed: int = 0):
     for fi in range(n_folds):
         train, test = fold_of != fi, fold_of == fi
         models = l1_logreg_fit(X[train], y[train], lambdas)
+        X_test, y_test = X[test], y[test]
         for li, model in enumerate(models):
-            pred, _ = l1_logreg_predict(model, X[test])
-            accuracy[fi, li] = float(np.mean(pred == y[test]))
+            pred = l1_logreg_predict(model, X_test)
+            accuracy[fi, li] = float(np.mean(pred == y_test))
     means = accuracy.mean(axis=0)
     best = np.flatnonzero(means == means.max())
     strongest = best[np.argmax(lambdas[best])]
@@ -430,7 +431,7 @@ def downstream_eval(
         R_train, y_train, lambdas=lambdas, n_folds=n_folds, seed=seed
     )
     clf = l1_logreg_fit(R_train, y_train, best_lambda)
-    pred, _ = l1_logreg_predict(clf, R_test)
+    pred = l1_logreg_predict(clf, R_test)
     return float(np.mean(pred == y_test)), clf, best_lambda
 
 
@@ -500,7 +501,7 @@ def noise_robustness(
         noise = rng.standard_normal(X_test.shape) if sigma else 0.0
         X_noisy = X_test + float(sigma) * noise * scale
         for mi, (dr, clf) in enumerate(zip(dr_models, clf_models)):
-            pred, _ = l1_logreg_predict(clf, dr.transform(X_noisy).values)
+            pred = l1_logreg_predict(clf, dr.transform(X_noisy).values)
             table[si, mi] = float(np.mean(pred == y_test))
     return table
 

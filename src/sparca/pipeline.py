@@ -67,11 +67,6 @@ class SparcaModel:
     components: tuple
 
     @property
-    def n_features(self) -> int:
-        """Original (pre-standardization) feature count."""
-        return self.scaler.n_features
-
-    @property
     def n_clusters(self) -> int:
         return self.assignment.n_clusters
 
@@ -214,7 +209,7 @@ def transform(model: SparcaModel, X) -> ReducedMatrix:
     """Standardize ``X`` with the fitted scaler and project it.
 
     Raises ``ValueError`` unless ``X`` is a real matrix of
-    ``model.n_features`` columns whose every entry is finite, dropped
+    ``model.scaler.n_features`` columns whose every entry is finite, dropped
     columns included; no partial result is returned. ``X`` is read in one
     pass, in blocks of rows, and each block goes through
     ``standardize_apply`` with the model's serving scaler: only the support

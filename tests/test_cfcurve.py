@@ -52,6 +52,20 @@ class TestSelectClusters:
         with pytest.raises(ValueError, match=f"^{name} must be integers"):
             CfCurve.from_points(ks, fs)
 
+    @pytest.mark.parametrize(
+        "ks, fs, message",
+        [
+            ([1, 2, 3], [1, 2], "need matching, non-empty grids"),
+            ([], [], "need matching, non-empty grids"),
+            ([1, 3, 2], [1, 2, 3], "cluster grid must be strictly increasing"),
+            ([1, 2, 2], [1, 2, 3], "cluster grid must be strictly increasing"),
+        ],
+        ids=["mismatched", "empty", "unsorted", "repeated"],
+    )
+    def test_bad_grids_rejected(self, ks, fs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CfCurve.from_points(ks, fs)
+
     def test_derivative_stencil(self):
         curve = CfCurve.from_points([1, 2, 4, 8], [1, 3, 4, 12])
         # one-sided at the ends, central (non-uniform) inside
@@ -150,6 +164,8 @@ class TestCfCurve:
             cf_curve(block_data, grid=[0, 4])
         with pytest.raises(ValueError, match="lie in"):
             cf_curve(block_data, grid=[2, 2000])
+        with pytest.raises(ValueError, match="^grid is empty$"):
+            cf_curve(block_data, grid=[])
 
     def test_bad_cuts_rejected_before_ward(self, block_data, monkeypatch):
         def no_ward(d, m):
@@ -302,6 +318,15 @@ class TestCfCurve:
         monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
         curve = cf_curve(block_data)
         assert curve.points == cf_curve(block_data, n_threads=1).points
+
+    @pytest.mark.parametrize("cores, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_an_affinity_set(
+        self, monkeypatch, cores, usable
+    ):
+        # Where the OS has no affinity call, the core count decides.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert sparca.cfcurve._usable_cpus() == usable
 
 
 class TestDefaultGrid:

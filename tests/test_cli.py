@@ -253,6 +253,23 @@ def test_flags_a_command_does_not_read_are_rejected(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, out", [("fit", "--out"), ("cf-curve", "--out"),
+                     ("eval", "--out-prefix")],
+)
+def test_seed_is_checked_before_the_input_is_read(
+    tmp_path, capsys, command, out
+):
+    code = main([
+        command, "--input", str(tmp_path / "missing.csv"), "--seed", "-1",
+        out, str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be an integer in [0, 2**64), got -1" in err
+    assert "missing.csv" not in err
+
+
 class TestTransform:
     def test_round_trip(self, block_csv, tmp_path):
         model_path = tmp_path / "model.json"
@@ -307,6 +324,24 @@ class TestCfCurveCommand:
         assert table.shape == (6, 3)
         assert table[-1, 0] == 80 and table[-1, 1] == 80
 
+    def test_grid_is_parsed_as_a_flag(self, block_csv, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "cf-curve", "--input", str(block_csv), "--grid", "2,x",
+                "--out", str(out),
+            ])
+        assert excinfo.value.code == 2
+        assert "argument --grid: invalid _int_list value: '2,x'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # An empty grid means the default one.
+        args = ["cf-curve", "--input", str(block_csv), "--out", str(out)]
+        assert main(args + ["--grid", ""]) == 0
+        table = load_csv(out, has_header=True)
+        assert table[:, 0].tolist() == default_grid(80).tolist()
+
 
 class TestProfileCommand:
     def test_smoke(self, tmp_path):
@@ -333,6 +368,17 @@ class TestProfileCommand:
         err = capsys.readouterr().err
         assert "error: repeats must be an integer >= 1, got 0" in err
         assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--samples", "--features"])
+    def test_bad_grid_is_a_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "runtime.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", flag, "60,1.5", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid _int_list value: '60,1.5'" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
 
@@ -474,6 +520,29 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be in (0, 1], got" in err
         assert not list(tmp_path.iterdir())
+
+    def test_fractions_are_checked_before_the_input_is_read(
+        self, tmp_path, capsys
+    ):
+        code = main([
+            "eval", "--input", str(tmp_path / "missing.csv"),
+            "--embed-frac", "0.5", "--train-frac", "0.5", "--test-frac", "0.5",
+            "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: split fractions must sum to at most 1" in err
+        assert "missing.csv" not in err
+
+    def test_idx_images_need_idx_labels(self, tmp_path, capsys):
+        code = main([
+            "eval", "--idx-images", str(tmp_path / "missing.idx"),
+            "--out-prefix", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        assert "error: --idx-labels is required with --idx-images" in (
+            capsys.readouterr().err
+        )
 
     def test_requires_input(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import float_csv
 from sparca.data import (
     Scaler,
+    as_matrix,
     check_integer,
     check_number,
     check_numbers,
@@ -102,6 +103,12 @@ class TestStandardize:
         with pytest.raises(ValueError, match="X must be real, got dtype"):
             validate_matrix(X)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_length_axis_rejected(self, shape):
+        message = "^X must have at least one row and one column$"
+        with pytest.raises(ValueError, match=message):
+            as_matrix(np.empty(shape))
+
 
 # Cells in the syntax numpy and float() share, and cells neither accepts;
 # the syntax where they differ is left out.
@@ -167,6 +174,23 @@ class TestCsv:
         # A missing file would raise FileNotFoundError once it is opened.
         with pytest.raises(ValueError, match="^label_col must be an integer"):
             load_csv(tmp_path / "missing.csv", label_col=label_col)
+
+    @pytest.mark.parametrize("label_col", [3, -4])
+    def test_label_col_out_of_range(self, tmp_path, label_col):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,2\n")
+        with pytest.raises(
+            ValueError, match=f"^label column {label_col} out of range$"
+        ):
+            load_csv(path, label_col=label_col)
+
+    @pytest.mark.parametrize("label", ["0.5", "-1", "1.0000001"])
+    def test_labels_that_are_not_class_ids_rejected(self, tmp_path, label):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        message = "^label column must hold non-negative integers$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, label_col=-1)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -440,6 +464,19 @@ class TestIdx:
         with pytest.raises(ValueError, match="bad gzip data") as excinfo:
             load_idx(img, lbl)
         assert str(img) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "which, what", [(0, "image"), (1, "label")], ids=["images", "labels"]
+    )
+    def test_file_shorter_than_its_header(self, tmp_path, which, what):
+        paths = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        short = paths[which]
+        short.write_bytes(short.read_bytes()[:6])
+        with pytest.raises(
+            ValueError, match=f"truncated file while reading {what} header"
+        ) as excinfo:
+            load_idx(*paths)
+        assert str(short) in str(excinfo.value)
 
     def test_negative_label_count(self, tmp_path):
         img, lbl = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])

@@ -24,6 +24,7 @@ from sparca.evalkit import (
     profile_runtime,
     select_lambda,
     stratified_split,
+    _gaussian_profile,
     _logistic_loss,
 )
 from sparca.data import standardize_apply
@@ -63,6 +64,18 @@ class TestGenSynthetic:
             gen_synthetic(10, 20, 11, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
             gen_synthetic(10, 20, 0, seed=0)
+
+    def test_zero_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="^spectrum is identically zero$"):
+            participation_ratio(np.zeros(4))
+
+    def test_rank_near_full_widens_the_bracket(self):
+        # At width n_values the profile's ratio is below 95 of 100, so the
+        # bisection's upper end is doubled before it starts.
+        idx = np.arange(100.0)
+        assert participation_ratio(np.exp(-0.5 * (idx / 100.0) ** 2)) < 95
+        profile = _gaussian_profile(100, 95)
+        assert participation_ratio(profile) == pytest.approx(95, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
     def test_bad_seed_rejected(self, seed):
@@ -263,7 +276,7 @@ class TestL1LogReg:
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         model = l1_logreg_fit(X, y, 0.0)
-        pred, _ = l1_logreg_predict(model, X)
+        pred = l1_logreg_predict(model, X)
         assert pred.tolist() == [0, 1]
         assert model.weights[1, 0] > 0 > model.weights[0, 0]
 
@@ -273,7 +286,7 @@ class TestL1LogReg:
         y = np.array([0] * 28 + [1] * 12)
         model = l1_logreg_fit(X, y, 1e6)
         assert not model.weights.any()
-        pred, _ = l1_logreg_predict(model, X)
+        pred = l1_logreg_predict(model, X)
         assert (pred == 0).all()
 
     def test_gradient_matches_finite_differences(self):
@@ -387,17 +400,16 @@ class TestL1LogReg:
         y = rng.integers(0, 3, 30)
         model = l1_logreg_fit(X, y, 0.01)
         perm = rng.permutation(30)
-        direct, _ = l1_logreg_predict(model, X[perm])
-        reference, _ = l1_logreg_predict(model, X)
+        direct = l1_logreg_predict(model, X[perm])
+        reference = l1_logreg_predict(model, X)
         assert np.array_equal(direct, reference[perm])
 
     def test_tie_breaks_to_smallest_class(self):
         model = L1LogRegModel(
             weights=np.zeros((3, 2)), intercepts=np.zeros(3), lam=0.0
         )
-        pred, scores = l1_logreg_predict(model, np.ones((4, 2)))
-        assert (pred == 0).all()
-        assert scores.shape == (4, 3)
+        pred = l1_logreg_predict(model, np.ones((4, 2)))
+        assert pred.tolist() == [0, 0, 0, 0]
 
     def test_degenerate_labels_rejected(self):
         X = np.ones((5, 2))
@@ -405,6 +417,12 @@ class TestL1LogReg:
             l1_logreg_fit(X, np.zeros(5, dtype=int), 0.1)
         with pytest.raises(ValueError, match="2 classes"):
             l1_logreg_fit(X, np.array([0, 0, 2, 2, 2]), 0.1)
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(
+            ValueError, match="^label count does not match sample count$"
+        ):
+            l1_logreg_fit(np.ones((4, 2)), [0, 1, 0], 0.1)
 
     def test_bad_lambda_rejected(self):
         X = np.random.default_rng(5).standard_normal((20, 3))
@@ -729,7 +747,7 @@ class TestNoiseRobustness:
         X_test, y_test, drs, clfs = setup
         table = noise_robustness(drs, clfs, X_test, y_test, [0.0, 1.0], seed=0)
         for mi, (dr, clf) in enumerate(zip(drs, clfs)):
-            pred, _ = l1_logreg_predict(clf, dr.transform(X_test).values)
+            pred = l1_logreg_predict(clf, dr.transform(X_test).values)
             clean = float(np.mean(pred == y_test))
             assert table[0, mi] == clean
 

@@ -65,6 +65,19 @@ class TestOmpFit:
         indices = comp.feature_indices.tolist()
         assert not {1, 3}.issubset(indices)
 
+    def test_duplicated_column_is_rejected_as_collinear(self):
+        # The copy of atom 0 is picked once atoms 0 and 1 are spent, found
+        # collinear with them, and dropped: the fit is the one without it.
+        rng = np.random.default_rng(3)
+        base = _standardized(rng, 40, 3)
+        D = np.column_stack([base[:, 0], base[:, 1], base[:, 0]])
+        target = base.sum(axis=1)
+        comp = omp_fit(D, target, 1.0)
+        alone = omp_fit(D[:, :2], target, 1.0)
+        assert comp.entries == alone.entries
+        assert comp.achieved_evr == alone.achieved_evr < 1.0
+        assert comp.full_support
+
     def test_residual_orthogonal_to_selection(self):
         D, target = _noisy_mix(seed=3)
         comp = omp_fit(D, target, 0.9)
@@ -144,3 +157,12 @@ class TestOmpFit:
             for value in (1.5, True, -1, "1"):
                 with pytest.raises(ValueError, match=f"^{name} must be an"):
                     omp_fit(D, D[:, 0], 0.9, **{name: value})
+        with pytest.raises(ValueError, match="^target length does not match"):
+            omp_fit(D, D[:-1, 0], 0.9)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^target contains NaN or"):
+                omp_fit(D, np.r_[D[:-1, 0], bad], 0.9)
+        with pytest.raises(ValueError, match="^feature_indices length does"):
+            omp_fit(D, D[:, 0], 0.9, feature_indices=[4, 7])
+        with pytest.raises(ValueError, match="^dictionary has no usable"):
+            omp_fit(np.zeros_like(D), D[:, 0], 0.9)

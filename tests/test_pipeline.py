@@ -158,6 +158,10 @@ class TestFit:
             with pytest.raises(ValueError, match="variance_threshold must"):
                 fit(X, n_clusters=2, variance_threshold=threshold)
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 samples"):
+            fit(np.arange(4.0)[None, :])
+
     def test_complex_input_rejected(self):
         X = np.random.default_rng(1).standard_normal((20, 5))
         with pytest.raises(ValueError, match="X must be real"):
@@ -425,6 +429,30 @@ def _repeated_feature(doc):
     doc["components"][0]["entries"][:1] = [[feature, 0.5], [feature, 1.0]]
 
 
+def _set_at(value, *keys):
+    """Set ``doc[keys[0]][keys[1]]...`` to ``value``."""
+    def corrupt(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return corrupt
+
+
+def _unsorted_kept(doc):
+    kept = doc["scaler"]["kept_features"]
+    kept[0], kept[1] = kept[1], kept[0]
+
+
+def _kept_past_the_end(doc):
+    doc["scaler"]["kept_features"][-1] = len(doc["scaler"]["means"])
+
+
+def _label_past_the_clusters(doc):
+    doc["assignment"][0] = doc["n_clusters"]
+
+
 class TestSerialization:
     def test_round_trip_transforms_identically(self, block_model, tmp_path):
         X, _, model = block_model
@@ -540,6 +568,12 @@ class TestSerialization:
             (_boolean("components", 0, "evr"), "evr must hold numbers"),
             (_boolean("components", 0, "entries", 0, 0), "features must hold"),
             (_boolean("components", 0, "entries", 0, 1), "weights must hold"),
+            (_set_at(float("nan"), "scaler", "means", 0), "must be finite"),
+            (_set_at(float("inf"), "scaler", "stds", 0), "must be finite"),
+            (_unsorted_kept, "kept_features must be strictly increasing"),
+            (_kept_past_the_end, r"kept_features .* in \[0, 80\)"),
+            (_set_at(-1, "scaler", "kept_features", 0), r"in \[0, 80\)"),
+            (_label_past_the_clusters, r"labels must lie in \[0, 8\)"),
         ],
     )
     def test_inconsistent_parts_rejected(
@@ -567,6 +601,14 @@ class TestSerialization:
         assert np.array_equal(
             values, standardize_apply(loaded.scaler, X) @ loaded.projection
         )
+
+    @pytest.mark.parametrize("top", [[], [1, 2], "model", 3, None])
+    def test_top_level_that_is_not_an_object_rejected(self, tmp_path, top):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="malformed model") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
 
     def test_missing_key_rejected(self, block_model, tmp_path):
         _, _, model = block_model
